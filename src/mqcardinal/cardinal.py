@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+from scipy import fft, special
 
 from . import kernels as kmod
 from .errors import (
@@ -241,6 +241,11 @@ class CardinalTable:
         return float(self.values[i + self.half_width_N * self.oversample_M])
 
 
+def _mirror(pos: np.ndarray) -> np.ndarray:
+    """Even extension of samples at m = 0 .. p/2 into FFT order (length p)."""
+    return np.concatenate((pos[:-1], pos[:0:-1]))
+
+
 def _next_pow2(n: int) -> int:
     return 1 << (int(n) - 1).bit_length()
 
@@ -289,16 +294,21 @@ def build_cardinal_table(
             suggested_m=math.ceil(need / math.pi),
         )
 
-    m_idx = np.arange(p)
-    m_idx[m_idx >= p // 2] -= p
-    xi_n = m_idx * (TWO_PI / q)
+    # Every family's transform depends on |xi| only: evaluate it on
+    # xi = 2 pi m / Q for m = 0 .. p/2 and mirror it into FFT order.  The
+    # symbol's residue index of FFT slot i is i mod Q, so dividing through
+    # an (M, Q) view lines each row up with the Q residues.
+    half_p = p // 2
+    xi_pos = np.arange(half_p + 1) * (TWO_PI / q)
     if k.family == GAUSSIAN:
         # Form phihat/S in log space: for flat gaussians both numerator and
         # denominator underflow while their ratio is order one.
         shifts = TWO_PI * np.arange(-plan.tau, plan.tau + 1)
         expo = -((res_star[:, None] + shifts[None, :]) ** 2) / (4.0 * k.lam)
         lse = special.logsumexp(expo, axis=1)
-        lhat = np.exp(-xi_n * xi_n / (4.0 * k.lam) - lse[np.mod(m_idx, q)])
+        lhat = _mirror(-xi_pos * xi_pos / (4.0 * k.lam))
+        lhat.reshape(M, q)[...] -= lse
+        np.exp(lhat, out=lhat)
     else:
         if k.alpha >= -0.5:
             raise UnsupportedKernelError(
@@ -308,14 +318,16 @@ def build_cardinal_table(
             raise NumericalConsistencyError(
                 "periodized symbol underflowed to zero; kernel too flat for this grid"
             )
-        num = np.empty(p)
-        zero = xi_n == 0.0
-        num[zero] = kernel_fourier_at_zero(k)
-        num[~zero] = kernel_fourier(k, xi_n[~zero])
-        lhat = num / s_res[np.mod(m_idx, q)]
+        num = np.empty(half_p + 1)
+        num[0] = kernel_fourier_at_zero(k)
+        num[1:] = kernel_fourier(k, xi_pos[1:])
+        lhat = _mirror(num)
+        lhat.reshape(M, q)[...] /= s_res
 
-    vals_full = M * np.fft.ifft(lhat)
-    imag_max = float(np.max(np.abs(vals_full.imag)))
+    vals_full = fft.ifft(lhat)
+    vals_full *= M
+    imag = vals_full.imag
+    imag_max = max(float(imag.max()), -float(imag.min()))
     if imag_max > 1e-10:
         raise NumericalConsistencyError(
             f"imaginary residue {imag_max:.3g} exceeds 1e-10 after inverse FFT"
@@ -323,10 +335,28 @@ def build_cardinal_table(
     real = vals_full.real
 
     half = N * M
-    idx = np.arange(-half, half + 1)
-    raw = real[np.mod(idx, p)]
+    raw = np.concatenate((real[p - half:], real[: half + 1]))
     sym = 0.5 * (raw + raw[::-1])
     return CardinalTable(k, N, M, sym, epsilon, interp_order)
+
+
+def _lagrange(values: np.ndarray, base: np.ndarray, s: np.ndarray, order: int) -> np.ndarray:
+    """Lagrange rule through ``values[base + i]``, i < order, at offset ``s`` from base.
+
+    ``order`` is 4 (cubic) or 2 (linear).  Stencil indices outside
+    ``values`` read its nearest end value.
+    """
+
+    def v(i):
+        return np.take(values, base + i, mode="clip")
+
+    if order == 2:
+        return (1.0 - s) * v(0) + s * v(1)
+    w0 = -(s - 1.0) * (s - 2.0) * (s - 3.0) / 6.0
+    w1 = s * (s - 2.0) * (s - 3.0) / 2.0
+    w2 = -s * (s - 1.0) * (s - 3.0) / 2.0
+    w3 = s * (s - 1.0) * (s - 2.0) / 6.0
+    return v(0) * w0 + v(1) * w1 + v(2) * w2 + v(3) * w3
 
 
 def eval_cardinal(t: CardinalTable, x):
@@ -342,21 +372,9 @@ def eval_cardinal(t: CardinalTable, x):
     if np.any(np.abs(x_arr) > n + 1e-12):
         raise OutOfRangeError(f"|x| exceeds table half-width {n}")
     u = np.clip(x_arr * m + n * m, 0.0, 2.0 * n * m)
-    size = 2 * n * m + 1
-    if t.interp_order == 2:
-        i0 = np.clip(np.floor(u).astype(int), 0, size - 2)
-        w = u - i0
-        out = (1.0 - w) * t.values[i0] + w * t.values[i0 + 1]
-    else:
-        base = np.clip(np.floor(u).astype(int) - 1, 0, size - 4)
-        s = u - base  # in [1, 2] for interior points
-        v = t.values[base[:, None] + np.arange(4)]
-        # Lagrange weights on offsets 0, 1, 2, 3.
-        w0 = -(s - 1.0) * (s - 2.0) * (s - 3.0) / 6.0
-        w1 = s * (s - 2.0) * (s - 3.0) / 2.0
-        w2 = -s * (s - 1.0) * (s - 3.0) / 2.0
-        w3 = s * (s - 1.0) * (s - 2.0) / 6.0
-        out = v[:, 0] * w0 + v[:, 1] * w1 + v[:, 2] * w2 + v[:, 3] * w3
+    order = t.interp_order
+    base = np.clip(np.floor(u).astype(int) - (order // 2 - 1), 0, t.values.size - order)
+    out = _lagrange(t.values, base, u - base, order)
     return float(out[0]) if scalar else out
 
 

@@ -431,6 +431,12 @@ def run_jitter_study(
     return summary
 
 
+def _fit_eval_seconds(t0: float, t1: float | None, t2: float) -> tuple:
+    """(fit, eval) seconds from the start, the end of the fit (None if it
+    failed) and the end of the evaluation."""
+    return (t2 - t0, 0.0) if t1 is None else (t1 - t0, t2 - t1)
+
+
 def run_conditioning_study(
     N_grid: Sequence[int] = (1, 2, 4, 8),
     kernel_list: Sequence[Kernel] = (),
@@ -443,9 +449,10 @@ def run_conditioning_study(
     """Gram conditioning vs the factorization-free cardinal path.
 
     For each kernel and spacing 1/N on [-1, 1]: the Gram condition
-    estimate, fit/eval wall times, and interpolation errors from both
-    paths on a clean target.  Ill-conditioned Gram rows get an infinite
-    condition number and a blank error.
+    estimate, and from both paths on a clean target the interpolation error
+    and the wall times of the fit and of the error evaluation, timed
+    separately (the cardinal fit includes its table build).  Ill-conditioned
+    Gram rows get an infinite condition number and a blank error.
     """
     f = f if f is not None else bspline(3)
     kernel_list = tuple(kernel_list) or (gaussian(1.0), poisson(1.0))
@@ -454,26 +461,26 @@ def run_conditioning_study(
         for n in N_grid:
             nodes = np.arange(-n, n + 1) / n
             cond = gram_condition(nodes, kern)
-            t0 = time.perf_counter()
+            t0, t1 = time.perf_counter(), None
             try:
                 g = fit_gram(SampleSet(nodes, f(nodes)), kern)
-                gram_time = time.perf_counter() - t0
+                t1 = time.perf_counter()
                 gram_err = error_norms(f, lambda x: eval_gram(g, x), T=2.0,
                                        step=1.0 / (8 * n)).l2_window
             except IllConditionedError:
-                gram_time = time.perf_counter() - t0
                 gram_err = float("nan")
                 cond = float("inf")
-            t0 = time.perf_counter()
+            gram_times = _fit_eval_seconds(t0, t1, time.perf_counter())
+            t0, t1 = time.perf_counter(), None
             try:
                 ge, _ = interpolate_at_spacing(f, n, kern, epsilon, M, cover=2.0)
+                t1 = time.perf_counter()
                 card_err = error_norms(f, ge, T=2.0, step=1.0 / (8 * n)).l2_window
-                card_time = time.perf_counter() - t0
             except NumericalError:
                 card_err = float("nan")
-                card_time = time.perf_counter() - t0
+            card_times = _fit_eval_seconds(t0, t1, time.perf_counter())
             rows.append((_kernel_label(kern), n, 1.0 / n, cond,
-                         gram_err, gram_time, card_err, card_time))
+                         gram_err, gram_times, card_err, card_times))
     config = {
         "study": "conditioning", "target": f.name, "epsilon": epsilon, "M": M,
         "N_grid": " ".join(map(str, N_grid)),
@@ -490,7 +497,9 @@ def run_conditioning_study(
         "study": "conditioning",
         "pass": growth_ok,
         "timings": [
-            {"kernel": r[0], "N": r[1], "gram_seconds": r[5], "cardinal_seconds": r[7]}
+            {"kernel": r[0], "N": r[1],
+             "gram_fit_seconds": r[5][0], "gram_eval_seconds": r[5][1],
+             "cardinal_fit_seconds": r[7][0], "cardinal_eval_seconds": r[7][1]}
             for r in rows
         ],
         "config": {k: _fmt(v) for k, v in config.items()},

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
+from scipy import fft, linalg
 
-from .cardinal import CardinalTable, eval_cardinal
+from .cardinal import CardinalTable, _lagrange
 from .errors import (
     ConfigError,
     CoverageError,
@@ -127,19 +127,43 @@ def fit_uniform(samples: SampleSet, k: Kernel, table: CardinalTable) -> UniformI
 
 
 def eval_uniform(u: UniformInterpolant, x):
-    """Evaluate the cardinal series, keeping terms covered by the table."""
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    scalar = np.ndim(x) == 0
-    j = np.arange(-u.half_count, u.half_count + 1)
-    y = u.N * x_arr
-    diff = y[:, None] - j[None, :]
-    mask = np.abs(diff) <= u.table.half_width_N
-    out = np.zeros_like(x_arr)
-    if np.any(mask):
-        vals = np.zeros_like(diff)
-        vals[mask] = eval_cardinal(u.table, diff[mask])
-        out = vals @ u.coeffs
-    return float(out[0]) if scalar else out
+    """Evaluate the cardinal series sum_j coeffs[j] L(N x - j).
+
+    Edge rule: L is taken as zero outside the table's range [-N_t, N_t]
+    (``N_t = table.half_width_N``), and the table's cubic (or linear) rule
+    is applied to that zero-extended table.  So a term whose ``N x - j``
+    lies past ``N_t + 2/M`` (``M = table.oversample_M``) contributes
+    nothing, and probes past every term, or not finite, evaluate to 0.
+
+    The shifts j are exact steps of M samples on the table's 1/M grid, so
+    by linearity the series is one convolution of the coefficients, placed
+    every M samples, with the table values, followed by a single Lagrange
+    pass per probe (the gridding-plus-convolution idea of Greengard & Lee,
+    "Accelerating the Nonuniform FFT", SIAM Rev. 2004).  A call costs one
+    FFT convolution plus O(1) per probe, not O(number of terms) per probe.
+    """
+    t = u.table
+    m, order = t.oversample_M, t.interp_order
+    stuffed = np.zeros(2 * u.half_count * m + 1)
+    stuffed[::m] = u.coeffs
+    padded = np.zeros(t.values.size + 4)
+    padded[2:-2] = t.values
+    size = stuffed.size + padded.size - 1
+    n_fft = fft.next_fast_len(size, real=True)
+    conv = fft.irfft(fft.rfft(stuffed, n_fft) * fft.rfft(padded, n_fft), n_fft)[:size]
+    # The two zeros padded on each side make the two end samples of the
+    # convolution exactly zero; clear the FFT's rounding there, so that every
+    # stencil index outside the array reads an exact zero.
+    conv[:2] = 0.0
+    conv[-2:] = 0.0
+
+    # conv[i] is the series at N x = i / M - N_t - J - 2 / M.
+    x_arr = np.asarray(x, dtype=float)
+    pos = (u.N * x_arr + (t.half_width_N + u.half_count)) * m + 2.0
+    pos = np.where(np.isfinite(pos), np.clip(pos, -order, size + order), -order)
+    base = np.floor(pos).astype(int) - (order // 2 - 1)
+    out = _lagrange(conv, base, pos - base, order)
+    return float(out) if out.ndim == 0 else out
 
 
 def scaled_eval(u: UniformInterpolant, x):

@@ -156,14 +156,13 @@ def perturbed_frame_bounds(fb: FrameBounds, L: float) -> FrameBounds:
     return FrameBounds(fb.A * (1.0 - root_c) ** 2, fb.B * (1.0 + root_c) ** 2)
 
 
-def estimate_frame_bounds(ns: NodeSequence, band: float = math.pi, probes: int = 0) -> FrameBounds:
+def estimate_frame_bounds(ns: NodeSequence, band: float = math.pi) -> FrameBounds:
     """Finite-section estimate of the frame bounds of a node sequence.
 
     Extreme eigenvalues of the Gram matrix of the band-limited reproducing
     kernel, G_jk = sin(band (x_j - x_k)) / (pi (x_j - x_k)) with diagonal
     band/pi.  These are estimates from a finite section, not certified
-    bounds.  ``probes`` is accepted for interface stability and ignored
-    (the full spectrum is computed directly).
+    bounds.
     """
     if not (0 < band <= math.pi):
         raise DomainError("band must lie in (0, pi]")

@@ -185,6 +185,13 @@ class TestConditioningStudy:
     def test_pass_flag(self, cond_study):
         assert cond_study["pass"]
 
+    def test_timings_split_fit_and_eval(self, cond_study):
+        keys = ("gram_fit_seconds", "gram_eval_seconds",
+                "cardinal_fit_seconds", "cardinal_eval_seconds")
+        assert len(cond_study["timings"]) == len(cond_study["rows"])
+        for entry in cond_study["timings"]:
+            assert all(entry[k] >= 0.0 for k in keys)
+
 
 class TestDeterministicEmission:
     def test_h_conv_csv_byte_identical(self, tmp_path):

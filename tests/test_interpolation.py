@@ -110,6 +110,59 @@ class TestScaledEval:
         assert mq.scaled_eval(u, 0.3) == pytest.approx(mq.eval_uniform(u, 0.3), abs=1e-12)
 
 
+def _dense_series(u, x):
+    """Reference series: sum_j c_j L(N x - j) term by term through
+    eval_cardinal, with the terms past the table's half-width dropped."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    d = u.N * x[:, None] - np.arange(-u.half_count, u.half_count + 1)[None, :]
+    inside = np.abs(d) <= u.table.half_width_N
+    terms = np.zeros_like(d)
+    terms[inside] = mq.eval_cardinal(u.table, d[inside])
+    return terms @ u.coeffs
+
+
+@pytest.fixture(scope="module")
+def edge_tables(poisson_table):
+    linear = mq.build_cardinal_table(mq.poisson(1.0), 1e-12, 32, 16, interp_order=2)
+    gauss = mq.build_cardinal_table(mq.gaussian(1.0), 1e-12, 16, 8)
+    return [poisson_table, linear, gauss]
+
+
+class TestSeriesEdgeRule:
+    @given(which=st.integers(0, 2), J=st.integers(0, 40), N=st.integers(1, 40),
+           reach=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_series(self, edge_tables, which, J, N, reach, seed):
+        t = edge_tables[which]
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal(2 * J + 1)
+        u = mq.cardinal_series(coeffs, N, t)
+        x = rng.uniform(-reach, reach, 48)
+        total = float(np.sum(np.abs(coeffs)))
+        want = _dense_series(u, x)
+        # Inside the table every term's stencil lies in range: the two agree
+        # up to rounding.  Near its ends they differ by the table's end values.
+        tol = 1e-13 * total
+        if t.half_width_N < N * reach + J + 2.0 / t.oversample_M:
+            tail = max(np.max(np.abs(t.values[:4])), np.max(np.abs(t.values[-4:])))
+            tol += 2.0 * tail * total
+        for evaluate in (mq.eval_uniform, mq.scaled_eval):
+            got = evaluate(u, x)
+            assert got.shape == x.shape
+            assert np.max(np.abs(got - want)) <= tol
+            scalar = evaluate(u, float(x[0]))
+            assert isinstance(scalar, float)
+            assert abs(scalar - want[0]) <= tol
+
+        # Probes past every term, and non-finite probes, evaluate to 0.
+        far = (J + t.half_width_N + 1.0) / N
+        beyond = np.array([far, -far, 2.0 * far, np.nan, np.inf, -np.inf])
+        for evaluate in (mq.eval_uniform, mq.scaled_eval):
+            np.testing.assert_array_equal(evaluate(u, beyond), 0.0)
+            assert evaluate(u, np.nan) == 0.0
+        np.testing.assert_array_equal(_dense_series(u, beyond), 0.0)
+
+
 class TestGram:
     def test_small_system_against_dense_solve(self):
         k = mq.poisson(1.0)
