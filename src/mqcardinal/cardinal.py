@@ -35,6 +35,9 @@ TWO_PI = 2.0 * math.pi
 # function's algebraic tail stays below the table tolerance.
 _MIN_PERIOD = 2048
 _PERIOD_FACTOR = 8
+# Spare complex values at the end of each row of the table build's (M, Q)
+# spectrum array; see _even_spectrum.
+_ROW_PAD = 8
 
 
 @dataclass(frozen=True)
@@ -241,9 +244,62 @@ class CardinalTable:
         return float(self.values[i + self.half_width_N * self.oversample_M])
 
 
-def _mirror(pos: np.ndarray) -> np.ndarray:
-    """Even extension of samples at m = 0 .. p/2 into FFT order (length p)."""
-    return np.concatenate((pos[:-1], pos[:0:-1]))
+def _even_spectrum(m: int, q: int, f, at_zero: float) -> np.ndarray:
+    """Even real spectrum in FFT order, as a complex (M, Q) array.
+
+    Flat slots i and p - i (p = M Q) both hold ``f(2 pi i / Q)`` for
+    i = 1 .. p/2, slot 0 holds ``at_zero``, and the imaginary part is zero.
+    ``f`` is called on one row of Q frequencies at a time, so the array
+    itself is the only large allocation.  The array is a view whose rows
+    lie ``Q + _ROW_PAD`` values apart: with rows exactly Q values apart,
+    a power-of-2 number of bytes, every value of a column falls into the
+    same few cache sets, and the transforms down the columns run slower,
+    by an amount that depends on where the array lands in memory.
+    """
+    out = np.zeros((m, q + _ROW_PAD), dtype=complex)[:, :q]
+    spec = out.real
+    spec[0, 0] = at_zero
+    half = m * q // 2
+    for r in range(half // q + 1):
+        c0, c1 = (1 if r == 0 else 0), min(q, half + 1 - r * q)
+        vals = f((r * q + np.arange(c0, c1)) * (TWO_PI / q))
+        spec[r, c0:c1] = vals
+        # Slot r Q + c mirrors to (M - 1 - r, Q - c) for c >= 1 and to
+        # (M - r, 0) for c = 0.
+        lo = max(c0, 1)
+        spec[m - 1 - r, q - c1 + 1 : q - lo + 1] = vals[lo - c0 :][::-1]
+        if c0 == 0:
+            spec[m - r, 0] = vals[0]
+    return out
+
+
+def _ifft_even(a: np.ndarray) -> np.ndarray:
+    """Rows 0 .. M//2 of ``M * ifft(a.ravel())`` for an even sequence, in place.
+
+    ``a`` is a complex (M, Q) array, Q a power of 2, whose flat form is
+    even: ``a.flat[i] == a.flat[p - i]`` (p = M Q).  Entry ``[t, j]`` of the
+    result is output ``j M + t``.  Writing the input index as ``Q r + s``
+    and the output index as ``j M + t``, the length-p transform splits into
+    length-M transforms down the columns, a twiddle ``exp(2 pi i s t / p)``
+    and length-Q transforms along the rows (the four-step FFT).  The output
+    of an even sequence is even, and output ``j M + t`` for t > M/2 equals
+    output ``(Q - 1 - j) M + (M - t)``, so only rows t <= M/2 go through the
+    last two steps.  The short transforms keep the FFT's own scratch small:
+    a table build allocates one large array, whose pages the next build
+    reuses instead of faulting them in again.
+    """
+    m, q = a.shape
+    p = m * q
+    fft.ifft(a, axis=0, norm="forward", overwrite_x=True)
+    rows = a[: m // 2 + 1]
+    # The twiddle factors as exp(2 pi i t s1 / p) * exp(2 pi i t K s2 / p)
+    # for s = s1 + K s2, so no (M, Q) array of it is formed.
+    k = 1 << (q.bit_length() - 1) // 2
+    t = np.arange(rows.shape[0])[:, None]
+    view = rows.reshape(rows.shape[0], q // k, k)
+    view *= np.exp((2j * math.pi / p) * (t * np.arange(k)))[:, None, :]
+    view *= np.exp((2j * math.pi / p) * (t * (k * np.arange(q // k))))[:, :, None]
+    return fft.ifft(rows, axis=1, overwrite_x=True)
 
 
 def _next_pow2(n: int) -> int:
@@ -275,7 +331,6 @@ def build_cardinal_table(
     plan = compute_tau(k, epsilon)
 
     q = _next_pow2(max(_MIN_PERIOD, _PERIOD_FACTOR * N))
-    p = q * M
 
     # Symbol on the Q distinct frequency residues.
     res = TWO_PI * np.arange(q) / q
@@ -294,21 +349,20 @@ def build_cardinal_table(
             suggested_m=math.ceil(need / math.pi),
         )
 
-    # Every family's transform depends on |xi| only: evaluate it on
-    # xi = 2 pi m / Q for m = 0 .. p/2 and mirror it into FFT order.  The
-    # symbol's residue index of FFT slot i is i mod Q, so dividing through
-    # an (M, Q) view lines each row up with the Q residues.
-    half_p = p // 2
-    xi_pos = np.arange(half_p + 1) * (TWO_PI / q)
+    # Lhat on xi = 2 pi m / Q, m in FFT order (p = Q M), laid out as an
+    # (M, Q) array: column s holds the slots of symbol residue s.  Every
+    # family's transform depends on |xi| only, so it is evaluated for
+    # m <= p/2 and mirrored.
     if k.family == GAUSSIAN:
         # Form phihat/S in log space: for flat gaussians both numerator and
         # denominator underflow while their ratio is order one.
         shifts = TWO_PI * np.arange(-plan.tau, plan.tau + 1)
         expo = -((res_star[:, None] + shifts[None, :]) ** 2) / (4.0 * k.lam)
         lse = special.logsumexp(expo, axis=1)
-        lhat = _mirror(-xi_pos * xi_pos / (4.0 * k.lam))
-        lhat.reshape(M, q)[...] -= lse
-        np.exp(lhat, out=lhat)
+        lhat = _even_spectrum(M, q, lambda xi: -xi * xi / (4.0 * k.lam), 0.0)
+        spec = lhat.real
+        spec -= lse
+        np.exp(spec, out=spec)
     else:
         if k.alpha >= -0.5:
             raise UnsupportedKernelError(
@@ -318,24 +372,23 @@ def build_cardinal_table(
             raise NumericalConsistencyError(
                 "periodized symbol underflowed to zero; kernel too flat for this grid"
             )
-        num = np.empty(half_p + 1)
-        num[0] = kernel_fourier_at_zero(k)
-        num[1:] = kernel_fourier(k, xi_pos[1:])
-        lhat = _mirror(num)
-        lhat.reshape(M, q)[...] /= s_res
+        lhat = _even_spectrum(M, q, lambda xi: kernel_fourier(k, xi), kernel_fourier_at_zero(k))
+        spec = lhat.real
+        spec /= s_res
 
-    vals_full = fft.ifft(lhat)
-    vals_full *= M
-    imag = vals_full.imag
+    vals = _ifft_even(lhat)
+    imag = vals.imag
     imag_max = max(float(imag.max()), -float(imag.min()))
     if imag_max > 1e-10:
         raise NumericalConsistencyError(
             f"imaginary residue {imag_max:.3g} exceeds 1e-10 after inverse FFT"
         )
-    real = vals_full.real
-
-    half = N * M
-    raw = np.concatenate((real[p - half:], real[: half + 1]))
+    # L(n / M) for n = -N M .. N M: output n mod p is entry [t, j] of vals,
+    # or its mirror entry when t > M/2.
+    idx = np.arange(-N * M, N * M + 1) % (M * q)
+    t, j = idx % M, idx // M
+    far = t > M // 2
+    raw = vals.real[np.where(far, M - t, t), np.where(far, q - 1 - j, j)]
     sym = 0.5 * (raw + raw[::-1])
     return CardinalTable(k, N, M, sym, epsilon, interp_order)
 

@@ -13,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mqcardinal as mq
-from mqcardinal.cardinal import TWO_PI, periodized_symbol_lower_bound, reduce_frequency
+from mqcardinal.cardinal import (
+    TWO_PI,
+    _even_spectrum,
+    _ifft_even,
+    periodized_symbol_lower_bound,
+    reduce_frequency,
+)
 from mqcardinal.errors import (
     BandwidthError,
     DomainError,
@@ -219,3 +225,40 @@ class TestCardinalTable:
         t = mq.build_cardinal_table(mq.poisson(1.0), 1e-8, 8, 8)
         with pytest.raises(ValueError):
             t.values[0] = 2.0
+
+
+class TestTableTransform:
+    """The table build's spectrum layout and its four-step inverse FFT."""
+
+    @pytest.mark.parametrize("m, q", [(4, 16), (5, 32), (24, 2048), (64, 4096)])
+    def test_ifft_even_matches_numpy(self, m, q):
+        p = m * q
+        rng = np.random.default_rng(p)
+        half = rng.standard_normal(p // 2 + 1) + 1j * rng.standard_normal(p // 2 + 1)
+        flat = np.concatenate((half, half[1 : (p + 1) // 2][::-1]))
+        want = (m * np.fft.ifft(flat)).reshape(q, m).T[: m // 2 + 1]
+        got = _ifft_even(flat.reshape(m, q).copy())
+        # Entry [t, j] holds output j M + t, for rows t <= M/2.
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+    def test_ifft_even_writes_into_its_argument(self):
+        a = np.ones((8, 64), dtype=complex)
+        assert np.shares_memory(_ifft_even(a), a)
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_even_spectrum_layout(self, m):
+        q = 16
+        spec = _even_spectrum(m, q, lambda xi: 1.0 + xi, at_zero=-1.0)
+        flat = spec.reshape(-1)
+        p = m * q
+        assert spec.shape == (m, q)
+        assert np.all(flat.imag == 0.0)
+        assert flat.real[0] == -1.0
+        i = np.arange(1, p // 2 + 1)
+        np.testing.assert_array_equal(flat.real[i], 1.0 + i * (TWO_PI / q))
+        np.testing.assert_array_equal(flat.real[p - i], flat.real[i])
+        # The transform runs in place on the padded rows the spectrum uses.
+        want = (m * np.fft.ifft(flat)).reshape(q, m).T[: m // 2 + 1]
+        got = _ifft_even(spec)
+        assert np.shares_memory(got, spec)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
