@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft, special
+from scipy import fft
 
 from . import kernels as kmod
 from .errors import (
@@ -73,11 +73,12 @@ def _phihat_envelope(alpha: float, c: float, r) -> np.ndarray:
 
 
 def _empirical_symbol_min(k: Kernel, tau0: int = 50, grid: int = 512) -> float:
-    xs = -math.pi + TWO_PI * (np.arange(grid) + 1.0) / grid  # (-pi, pi]
-    total = np.zeros(grid)
+    # The symbol is even, so its minimum over (-pi, pi] is taken on [0, pi].
+    xs = (-math.pi + TWO_PI * (np.arange(grid) + 1.0) / grid)[grid // 2 - 1 :]
+    total = np.zeros_like(xs)
     for j in range(-tau0, tau0 + 1):
         args = xs + TWO_PI * j
-        vals = np.empty(grid)
+        vals = np.empty_like(xs)
         nz = args != 0.0
         if np.any(~nz):
             vals[~nz] = kernel_fourier_at_zero(k)
@@ -119,20 +120,23 @@ def compute_tau(k: Kernel, epsilon: float) -> TruncationPlan:
         nu = k.alpha + 0.5
         gamma = lam * math.pi ** (-k.alpha - 1.0) * math.exp(nu * nu / (2.0 * c * math.pi))
         beta = 0.5
-        d_lower = (
-            beta
-            * 2.0 ** (1.0 + k.alpha)
-            / math.gamma(-k.alpha)
-            * c**k.alpha
+        d_scale = (
+            beta * 2.0 ** (1.0 + k.alpha) / math.gamma(-k.alpha) * c**k.alpha
             * TWO_PI ** (-k.alpha - 1.0)
-            * math.exp(-TWO_PI * c)
         )
+        e2 = math.exp(-TWO_PI * c)
+        d_lower = d_scale * e2
+        # tau is formed in log space: d_lower underflows for c >~ 113 and
+        # cosh(c pi) overflows for c >~ 226, while tau itself stays small.
+        log_cosh = c * math.pi + math.log1p(e2) - math.log(2.0)
         tau = math.ceil(
             1.0
             + (
                 math.log(1.0 / epsilon)
-                + math.log(2.0 * gamma * math.cosh(c * math.pi))
-                - math.log(d_lower * (1.0 - math.exp(-TWO_PI * c)))
+                + math.log(2.0 * gamma)
+                + log_cosh
+                - (math.log(d_scale) - TWO_PI * c)
+                - math.log1p(-e2)
             )
             / (TWO_PI * c)
         )
@@ -273,6 +277,52 @@ def _even_spectrum(m: int, q: int, f, at_zero: float) -> np.ndarray:
     return out
 
 
+def _mirror_residues(half: np.ndarray) -> np.ndarray:
+    """Values on residues 0 .. Q-1 from those on 0 .. Q/2: residue s > Q/2
+    takes the value of Q - s."""
+    return np.concatenate((half, half[-2:0:-1]))
+
+
+def _symbol_rows(spec: np.ndarray, tau: int, f) -> np.ndarray:
+    """Rows 0 .. tau of the spectrum: ``f(2 pi (r + s / Q))`` in row r, column s.
+
+    ``_even_spectrum`` holds them whole for r < M//2; any rows from M//2 up
+    to tau are evaluated here.
+    """
+    m, q = spec.shape
+    whole = min(tau + 1, m // 2)
+    if whole == tau + 1:
+        return spec[:whole]
+    slots = np.arange(whole, tau + 1)[:, None] * q + np.arange(q)
+    return np.concatenate((spec[:whole], f(slots * (TWO_PI / q))))
+
+
+def _fold_symbol(rows: np.ndarray) -> np.ndarray:
+    """Truncated symbol on the Q residues 2 pi s / Q from spectrum rows 0 .. tau.
+
+    Row r holds phihat(2 pi (r + s / Q)) in column s.  For s <= Q/2 the
+    shift j >= 0 is row j of column s, and the shift j < 0 is row |j| - 1
+    of column Q - s, or row |j| of column 0 when s = 0.  Each sum runs
+    from the smallest terms, row tau, up to row 0.
+    """
+    h = rows.shape[1] // 2
+    half = rows[::-1, : h + 1].sum(axis=0)
+    half[0] += rows[:0:-1, 0].sum()
+    half[1:] += rows[-2::-1, : h - 1 : -1].sum(axis=0)
+    return _mirror_residues(half)
+
+
+def _log_fold_symbol(log_rows: np.ndarray) -> np.ndarray:
+    """``log(_fold_symbol(exp(log_rows)))`` with no under- or overflow.
+
+    The largest term of residue s is row 0 at column min(s, Q - s); each
+    residue's terms are scaled by it before the sum, and it is added back
+    after the log.
+    """
+    top = _mirror_residues(log_rows[0, : log_rows.shape[1] // 2 + 1])
+    return top + np.log(_fold_symbol(np.exp(log_rows - top)))
+
+
 def _ifft_even(a: np.ndarray) -> np.ndarray:
     """Rows 0 .. M//2 of ``M * ifft(a.ravel())`` for an even sequence, in place.
 
@@ -331,13 +381,7 @@ def build_cardinal_table(
     plan = compute_tau(k, epsilon)
 
     q = _next_pow2(max(_MIN_PERIOD, _PERIOD_FACTOR * N))
-
-    # Symbol on the Q distinct frequency residues.
-    res = TWO_PI * np.arange(q) / q
-    res_star = res - TWO_PI * np.floor(res / TWO_PI + 0.5)
-    res_star[res_star <= -math.pi] += TWO_PI
-    s_res = _symbol_terms(plan, res_star)
-    s_zero = float(s_res[0])
+    s_zero = float(_symbol_terms(plan, np.zeros(1))[0])
 
     # The grid must cover the band where Lhat is above tolerance.
     xi_edge = math.pi * M
@@ -352,28 +396,26 @@ def build_cardinal_table(
     # Lhat on xi = 2 pi m / Q, m in FFT order (p = Q M), laid out as an
     # (M, Q) array: column s holds the slots of symbol residue s.  Every
     # family's transform depends on |xi| only, so it is evaluated for
-    # m <= p/2 and mirrored.
+    # m <= p/2 and mirrored.  The symbol is folded from the same values.
+    if k.family == GAUSSIAN:
+        # Log of phihat up to a constant, which cancels in phihat/S.
+        f, at_zero = (lambda xi: -xi * xi / (4.0 * k.lam)), 0.0
+    else:
+        f, at_zero = (lambda xi: kernel_fourier(k, xi)), kernel_fourier_at_zero(k)
+    lhat = _even_spectrum(M, q, f, at_zero)
+    spec = lhat.real
+    rows = _symbol_rows(spec, plan.tau, f)
     if k.family == GAUSSIAN:
         # Form phihat/S in log space: for flat gaussians both numerator and
         # denominator underflow while their ratio is order one.
-        shifts = TWO_PI * np.arange(-plan.tau, plan.tau + 1)
-        expo = -((res_star[:, None] + shifts[None, :]) ** 2) / (4.0 * k.lam)
-        lse = special.logsumexp(expo, axis=1)
-        lhat = _even_spectrum(M, q, lambda xi: -xi * xi / (4.0 * k.lam), 0.0)
-        spec = lhat.real
-        spec -= lse
+        spec -= _log_fold_symbol(rows)
         np.exp(spec, out=spec)
     else:
-        if k.alpha >= -0.5:
-            raise UnsupportedKernelError(
-                "cardinal table requires an integrable transform (alpha < -1/2)"
-            )
+        s_res = _fold_symbol(rows)
         if np.min(s_res) <= 0.0:
             raise NumericalConsistencyError(
                 "periodized symbol underflowed to zero; kernel too flat for this grid"
             )
-        lhat = _even_spectrum(M, q, lambda xi: kernel_fourier(k, xi), kernel_fourier_at_zero(k))
-        spec = lhat.real
         spec /= s_res
 
     vals = _ifft_even(lhat)

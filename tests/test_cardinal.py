@@ -11,18 +11,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 import mqcardinal as mq
 from mqcardinal.cardinal import (
     TWO_PI,
     _even_spectrum,
+    _fold_symbol,
     _ifft_even,
+    _log_fold_symbol,
+    _symbol_rows,
+    _symbol_terms,
     periodized_symbol_lower_bound,
     reduce_frequency,
 )
 from mqcardinal.errors import (
     BandwidthError,
     DomainError,
+    NumericalError,
     OutOfRangeError,
     UnsupportedKernelError,
 )
@@ -77,6 +83,51 @@ class TestComputeTau:
                 s_ref = long_symbol(k, float(xi))
                 assert abs(s_tau - s_ref) / s_ref <= 1e-10
 
+    @staticmethod
+    def direct_tau(alpha, c, epsilon):
+        """The -1 < alpha < 0 rule in its direct form, which raises for large c."""
+        lam = 2.0 ** (1.0 + alpha) / math.gamma(-alpha) * c**alpha * TWO_PI
+        nu = alpha + 0.5
+        gamma = lam * math.pi ** (-alpha - 1.0) * math.exp(nu * nu / (2.0 * c * math.pi))
+        d_lower = (
+            0.5 * 2.0 ** (1.0 + alpha) / math.gamma(-alpha) * c**alpha
+            * TWO_PI ** (-alpha - 1.0) * math.exp(-TWO_PI * c)
+        )
+        return max(1, math.ceil(
+            1.0
+            + (
+                math.log(1.0 / epsilon)
+                + math.log(2.0 * gamma * math.cosh(c * math.pi))
+                - math.log(d_lower * (1.0 - math.exp(-TWO_PI * c)))
+            )
+            / (TWO_PI * c)
+        ))
+
+    def test_intermediate_alpha_log_space_keeps_tau(self):
+        cs = (0.05, 0.1, 0.3, 0.7, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 70.0, 100.0, 110.0)
+        for alpha in (-0.99, -0.9, -0.8, -0.75, -0.6, -0.51):
+            for c in cs:
+                for eps in (1e-4, 1e-8, 1e-11, 1e-14, 1e-16):
+                    got = mq.compute_tau(mq.multiquadric(alpha, c), eps).tau
+                    assert got == self.direct_tau(alpha, c, eps), (alpha, c, eps)
+
+    def test_intermediate_alpha_wide_kernel_table(self):
+        # At c = 150 the direct rule takes the log of an underflowed d_lower.
+        t = mq.build_cardinal_table(mq.multiquadric(-0.75, 150.0), 1e-11, 32, 16)
+        delta = np.zeros(65)
+        delta[32] = 1.0
+        assert np.max(np.abs(t.values[::16] - delta)) <= 1e-11
+
+    def test_intermediate_alpha_very_wide_kernel_is_typed(self):
+        # cosh(1000 pi) overflows; the result is a table or a typed error.
+        k = mq.multiquadric(-0.75, 1000.0)
+        assert mq.compute_tau(k, 1e-11).tau >= 1
+        try:
+            t = mq.build_cardinal_table(k, 1e-11, 32, 16)
+        except NumericalError:
+            return
+        assert np.all(np.isfinite(t.values))
+
 
 class TestPeriodizedSymbol:
     def test_poisson_geometric_oracle(self):
@@ -115,6 +166,57 @@ class TestPeriodizedSymbol:
             assert mq.periodized_symbol(plan, float(xi)) == pytest.approx(
                 long_symbol(k, float(xi), terms=50), rel=1e-15
             )
+
+
+class TestSymbolFold:
+    """The table build's symbol, folded from the spectrum rows."""
+
+    @staticmethod
+    def residues(q):
+        return np.array([reduce_frequency(TWO_PI * s / q) for s in range(q)])
+
+    @pytest.mark.parametrize(
+        "k, eps",
+        [
+            (mq.poisson(1.0), 1e-12),
+            (mq.poisson(0.3), 1e-16),  # tau = 22 reaches past row M//2
+            (mq.gaussian(0.5), 1e-16),
+            (mq.multiquadric(-0.75, 1.0), 1e-12),
+            (mq.multiquadric(-1.5, 0.7), 1e-12),
+            (mq.multiquadric(-2.5, 2.0), 1e-10),
+        ],
+    )
+    @pytest.mark.parametrize("m", [5, 16])
+    def test_fold_matches_symbol_terms(self, k, eps, m):
+        plan = mq.compute_tau(k, eps)
+        q = 64
+        f = lambda xi: mq.kernel_fourier(k, xi)
+        spec = _even_spectrum(m, q, f, mq.kernel_fourier_at_zero(k)).real
+        got = _fold_symbol(_symbol_rows(spec, plan.tau, f))
+        want = _symbol_terms(plan, self.residues(q))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_rows_past_half_are_evaluated(self):
+        f = lambda xi: 1.0 + xi
+        spec = _even_spectrum(6, 8, f, at_zero=1.0).real
+        rows = _symbol_rows(spec, 4, f)
+        assert rows.shape == (5, 8)
+        r, s = np.mgrid[0:5, 0:8]
+        np.testing.assert_allclose(rows, 1.0 + TWO_PI * (r + s / 8.0), rtol=1e-15)
+
+    @pytest.mark.parametrize("lam", [2.0, 0.05, 1.0 / 256.0])
+    @pytest.mark.parametrize("m", [5, 16])
+    def test_gaussian_log_fold_matches_logsumexp(self, lam, m):
+        plan = mq.compute_tau(mq.gaussian(lam), 1e-16)
+        q = 128
+        f = lambda xi: -xi * xi / (4.0 * lam)
+        spec = _even_spectrum(m, q, f, 0.0).real
+        got = _log_fold_symbol(_symbol_rows(spec, plan.tau, f))
+        shifts = TWO_PI * np.arange(-plan.tau, plan.tau + 1)
+        expo = f(self.residues(q)[:, None] + shifts[None, :])
+        want = special.logsumexp(expo, axis=1)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-13)
 
 
 class TestReduceFrequency:

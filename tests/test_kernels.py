@@ -31,11 +31,13 @@ def bessel_integral_oracle(nu, r, digits=30):
     # Truncate where exp(-r cosh t) has decayed far below double precision.
     t_max = math.acosh(1.0 + (140.0 + 10.0 * abs(nu)) / r)
     with mpmath.workdps(digits):
+        # The factor exp(-r) is taken out, so the quadrature's absolute
+        # tolerance is relative to an order-one integrand at large r too.
         val = mpmath.quad(
-            lambda t: mpmath.exp(-r * mpmath.cosh(t)) * mpmath.cosh(nu * t),
+            lambda t: mpmath.exp(-r * (mpmath.cosh(t) - 1)) * mpmath.cosh(nu * t),
             [0, t_max],
         )
-        return float(val)
+        return float(val * mpmath.exp(-r))
 
 
 class TestBesselK:
@@ -46,6 +48,20 @@ class TestBesselK:
     @pytest.mark.parametrize("nu,r", [(0.0, 0.5), (1.0, 2.0), (0.5, 1.0), (2.5, 4.0), (3.0, 0.3)])
     def test_against_defining_integral(self, nu, r):
         assert mq.bessel_k(nu, r) == pytest.approx(bessel_integral_oracle(nu, r), rel=1e-12)
+
+    @pytest.mark.parametrize("nu", [0, 1, 2, 3, 4])
+    def test_integer_orders_against_defining_integral(self, nu):
+        # kv is off by 4e-14 near r = 680 and returns 0 at r = 700.
+        r = np.array([1e-3, 0.05, 0.7, 3.0, 20.0, 120.0, 680.0, 700.0])
+        got = mq.bessel_k(nu, r)
+        want = [bessel_integral_oracle(nu, float(x), digits=40) for x in r]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(mq.bessel_k(-nu, r), got, rtol=0, atol=0)
+
+    def test_huge_integer_order_returns(self):
+        # Far past the recurrence's range the order goes to kv instead of a
+        # loop of one step per order.
+        mq.bessel_k(1e20, 1.0)
 
     def test_half_integer_closed_form(self):
         r = np.linspace(0.2, 20.0, 40)
