@@ -72,19 +72,28 @@ def _phihat_envelope(alpha: float, c: float, r) -> np.ndarray:
     return lam * r ** (-alpha - 1.0) * np.exp(-c * r + nu * nu / (2.0 * c * r))
 
 
-def _empirical_symbol_min(k: Kernel, tau0: int = 50, grid: int = 512) -> float:
-    # The symbol is even, so its minimum over (-pi, pi] is taken on [0, pi].
-    xs = (-math.pi + TWO_PI * (np.arange(grid) + 1.0) / grid)[grid // 2 - 1 :]
-    total = np.zeros_like(xs)
-    for j in range(-tau0, tau0 + 1):
-        args = xs + TWO_PI * j
-        vals = np.empty_like(xs)
+def _symbol_terms(k: Kernel, tau: int, xi_star: np.ndarray) -> np.ndarray:
+    """Symbol truncated to shifts |j| <= tau, on an array of reduced frequencies."""
+    total = np.zeros_like(xi_star)
+    for j in range(-tau, tau + 1):
+        args = xi_star + TWO_PI * j
+        vals = np.empty_like(args)
         nz = args != 0.0
         if np.any(~nz):
+            if k.family != GAUSSIAN and k.alpha >= -0.5:
+                raise SingularityError(
+                    "periodized symbol hits the non-integrable xi = 0 singularity"
+                )
             vals[~nz] = kernel_fourier_at_zero(k)
         vals[nz] = kernel_fourier(k, args[nz])
         total += vals
-    return float(total.min())
+    return total
+
+
+def _empirical_symbol_min(k: Kernel, tau0: int = 50, grid: int = 512) -> float:
+    # The symbol is even, so its minimum over (-pi, pi] is taken on [0, pi].
+    xs = (-math.pi + TWO_PI * (np.arange(grid) + 1.0) / grid)[grid // 2 - 1 :]
+    return float(_symbol_terms(k, tau0, xs).min())
 
 
 def compute_tau(k: Kernel, epsilon: float) -> TruncationPlan:
@@ -166,30 +175,10 @@ def reduce_frequency(xi: float) -> float:
     return r
 
 
-def _symbol_terms(plan: TruncationPlan, xi_star: np.ndarray) -> np.ndarray:
-    """Truncated symbol on an array of reduced frequencies."""
-    k = plan.kernel
-    total = np.zeros_like(xi_star)
-    for j in range(-plan.tau, plan.tau + 1):
-        args = xi_star + TWO_PI * j
-        vals = np.empty_like(args)
-        nz = args != 0.0
-        if np.any(~nz):
-            if k.family != GAUSSIAN and k.alpha >= -0.5:
-                raise SingularityError(
-                    "periodized symbol hits the non-integrable xi = 0 singularity"
-                )
-            vals[~nz] = kernel_fourier_at_zero(k)
-        if np.any(nz):
-            vals[nz] = kernel_fourier(k, args[nz])
-        total += vals
-    return total
-
-
 def periodized_symbol(plan: TruncationPlan, xi: float) -> float:
     """Truncated 2 pi-periodization S_tau(xi) of the kernel transform."""
     xi_star = np.array([reduce_frequency(float(xi))])
-    return float(_symbol_terms(plan, xi_star)[0])
+    return float(_symbol_terms(plan.kernel, plan.tau, xi_star)[0])
 
 
 def periodized_symbol_lower_bound(plan: TruncationPlan) -> float:
@@ -381,7 +370,7 @@ def build_cardinal_table(
     plan = compute_tau(k, epsilon)
 
     q = _next_pow2(max(_MIN_PERIOD, _PERIOD_FACTOR * N))
-    s_zero = float(_symbol_terms(plan, np.zeros(1))[0])
+    s_zero = float(_symbol_terms(k, plan.tau, np.zeros(1))[0])
 
     # The grid must cover the band where Lhat is above tolerance.
     xi_edge = math.pi * M

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .cardinal import build_cardinal_table, compute_tau, load_table, save_table
-from .errors import ConfigError, MqcError, NumericalError
+from .errors import ConfigError, GridMismatchError, MqcError, NumericalError
 from .experiments import (
     run_c_convergence,
     run_conditioning_study,
@@ -30,6 +30,7 @@ from .experiments import (
 )
 from .interpolation import (
     SampleSet,
+    _grid_half_count,
     eval_gram,
     eval_uniform,
     fit_gram,
@@ -193,27 +194,22 @@ def _parse_probe(spec: str, lo: float, hi: float):
         raise ConfigError(f"bad probe spec {spec!r}, expected lo:hi:count") from exc
 
 
-def _is_uniform_grid(s: SampleSet) -> bool:
-    n = s.nodes.size
-    if n % 2 == 0 or n < 3:
-        return False
-    half = (n - 1) // 2
-    return bool(np.allclose(s.nodes, np.arange(-half, half + 1) / half, rtol=0, atol=1e-12))
-
-
 def _cmd_interp(cfg: dict) -> int:
     if "samples" not in cfg:
         raise ConfigError("interp requires --samples FILE")
     samples = SampleSet.from_file(cfg["samples"])
     mode = cfg.get("mode", "auto")
     if mode == "auto":
-        mode = "grid" if _is_uniform_grid(samples) else "scattered"
+        try:
+            _grid_half_count(samples.nodes)
+            mode = "grid"
+        except GridMismatchError:
+            mode = "scattered"
     kern = _kernel_from(cfg)
     probe = _parse_probe(cfg.get("probe", ""), samples.nodes[0], samples.nodes[-1])
     if mode == "grid":
-        half = (samples.nodes.size - 1) // 2
         sub = dict(cfg)
-        sub.setdefault("N", max(2 * half, 4))
+        sub.setdefault("N", max(2 * _grid_half_count(samples.nodes), 4))
         table, _ = _get_table(sub)
         u = fit_uniform(samples, kern, table)
         values = eval_uniform(u, probe)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import simpson
 
-from .cardinal import CardinalTable, build_cardinal_table
+from .cardinal import build_cardinal_table
 from .errors import (
     IllConditionedError,
     InsufficientDataError,
@@ -33,7 +34,6 @@ from .interpolation import (
     eval_uniform,
     fit_gram,
     fit_uniform,
-    gram_condition,
 )
 from .kernels import GAUSSIAN, Kernel, gaussian, multiquadric, poisson
 from .sampling import (
@@ -144,24 +144,46 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit(study, kernel_label, tag, config, columns, rows, summary, out_dir):
-    """Write the CSV + JSON pair for a study; returns the CSV path or None."""
-    if out_dir is None:
-        return None
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    stem = f"{study}-{kernel_label}-{tag}"
-    csv_path = out / f"{stem}.csv"
-    with open(csv_path, "w") as fh:
-        for key in sorted(config):
-            fh.write(f"# {key}={_fmt(config[key])}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    with open(out / f"{stem}.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return csv_path
+def _finish(study, label, tag, config, columns, rows, summary, out_dir, csv_rows=None):
+    """Complete a study summary and write its CSV + JSON pair.
+
+    Adds ``study`` to the config and to the summary, and the stringified
+    config to the summary.  With ``out_dir`` given, writes
+    ``<study>-<label>-<tag>.csv`` (from ``csv_rows``, or ``rows`` if None)
+    and the summary as JSON next to it.  Then adds the CSV path (or None)
+    and the raw ``rows`` to the summary, and returns it.
+    """
+    config = {"study": study, **config}
+    summary["study"] = study
+    summary["config"] = {k: _fmt(v) for k, v in config.items()}
+    csv_path = None
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        stem = f"{study}-{label}-{tag}"
+        csv_path = out / f"{stem}.csv"
+        with open(csv_path, "w") as fh:
+            for key in sorted(config):
+                fh.write(f"# {key}={_fmt(config[key])}\n")
+            fh.write(",".join(columns) + "\n")
+            for row in rows if csv_rows is None else csv_rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        with open(out / f"{stem}.json", "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    summary["csv"] = str(csv_path) if csv_path else None
+    summary["rows"] = rows
+    return summary
+
+
+def _rate_fit(xs, errors, floor: float) -> RateFit:
+    """Rate fit through the errors above ``floor``; all NaN when fewer than
+    four remain (e.g. every error at the roundoff floor, as for the zero
+    target)."""
+    try:
+        return fit_rate(*rate_points(xs, errors, floor))
+    except InsufficientDataError:
+        return RateFit(float("nan"), float("nan"), float("nan"), ())
 
 
 def _kernel_label(k: Kernel) -> str:
@@ -198,6 +220,13 @@ def interpolate_at_spacing(
     return (lambda x: eval_uniform(u, x)), table
 
 
+def _spacing_errors(f, N_grid, base, epsilon, M, T, noise):
+    """(N, error report) of the cardinal interpolant at each spacing 1/N."""
+    for n in N_grid:
+        g, _ = interpolate_at_spacing(f, n, base, epsilon, M, noise, cover=T)
+        yield n, error_norms(f, g, T=T, step=1.0 / (8 * n))
+
+
 def run_h_convergence(
     f: TestFunction | None = None,
     N_grid: Sequence[int] = (8, 16, 32, 64),
@@ -212,36 +241,24 @@ def run_h_convergence(
     """Spacing-refinement study: log error vs log h slope for a compact target."""
     f = f if f is not None else bspline(3)
     base = base if base is not None else poisson(1.0)
-    rows = []
-    for n in N_grid:
-        g, _ = interpolate_at_spacing(f, n, base, epsilon, M, noise, cover=T)
-        rep = error_norms(f, g, T=T, step=1.0 / (8 * n))
-        rows.append((n, 1.0 / n, rep.l2_window, rep.sup_window, rep.self_check))
+    rows = [(n, 1.0 / n, rep.l2_window, rep.sup_window, rep.self_check)
+            for n, rep in _spacing_errors(f, N_grid, base, epsilon, M, T, noise)]
     errs = [r[2] for r in rows]
-    xs, ys = rate_points([math.log(1.0 / n) for n in N_grid], errs)
-    try:
-        fit = fit_rate(xs, ys)
-    except InsufficientDataError:
-        # All errors at the roundoff floor (e.g. the zero target).
-        fit = RateFit(float("nan"), float("nan"), float("nan"), ())
+    fit = _rate_fit([math.log(1.0 / n) for n in N_grid], errs, _RATE_FLOOR)
     config = {
-        "study": "h-conv", "target": f.name, "kernel": _kernel_label(base),
+        "target": f.name, "kernel": _kernel_label(base),
         "epsilon": epsilon, "M": M, "T": T, "N_grid": " ".join(map(str, N_grid)),
         "noise_delta": 0.0 if noise is None else noise.delta,
     }
     summary = {
-        "study": "h-conv", "slope": fit.slope, "r_squared": fit.r_squared,
+        "slope": fit.slope, "r_squared": fit.r_squared,
         "target_order": f.order, "errors_l2": errs,
-        "config": {k: _fmt(v) for k, v in config.items()},
     }
     if math.isfinite(f.order):
         summary["pass"] = bool(f.order - 0.5 <= fit.slope <= f.order + 0.5)
-    path = _emit("h-conv", _kernel_label(base), tag, config,
-                 ("N", "h", "l2_error", "sup_error", "quad_self_check"), rows, summary, out_dir)
-    summary["csv"] = str(path) if path else None
-    summary["fit"] = fit
-    summary["rows"] = rows
-    return summary
+    columns = ("N", "h", "l2_error", "sup_error", "quad_self_check")
+    return {**_finish("h-conv", _kernel_label(base), tag, config, columns, rows, summary,
+                      out_dir), "fit": fit}
 
 
 def run_c_convergence(
@@ -274,35 +291,24 @@ def run_c_convergence(
         rep = error_norms(f, lambda x: eval_uniform(u, x), T=T, step=1.0 / 32.0)
         rows.append((c, rep.l2_window, rep.sup_window, rep.self_check))
     errs = np.array([r[1] for r in rows])
-    keep = errs > 1e-14
-    if not np.all(keep):
-        import warnings
-
+    if not np.all(errs > 1e-14):
         warnings.warn("c-grid truncated: errors below 1e-14 dropped from the fit")
-    xs, ys = rate_points(np.asarray(c_grid)[keep], errs[keep], floor=1e-14)
-    try:
-        fit = fit_rate(xs, ys)
-    except InsufficientDataError:
-        fit = RateFit(float("nan"), float("nan"), float("nan"), ())
+    fit = _rate_fit(c_grid, errs, 1e-14)
     label = "poisson" if base_alpha == -1.0 else f"multiquadric-a{base_alpha:g}"
     config = {
-        "study": "c-conv", "target": f.name, "kernel": label, "alpha": base_alpha,
+        "target": f.name, "kernel": label, "alpha": base_alpha,
         "J": J, "table_N": table_N, "epsilon": epsilon, "M": M, "T": T,
         "c_grid": " ".join(_fmt(float(c)) for c in c_grid),
     }
     summary = {
-        "study": "c-conv", "slope": fit.slope, "r_squared": fit.r_squared,
+        "slope": fit.slope, "r_squared": fit.r_squared,
         "band": f.band, "rate_bound": -(math.pi - f.band) if math.isfinite(f.band) else None,
-        "errors_l2": errs.tolist(), "config": {k: _fmt(v) for k, v in config.items()},
+        "errors_l2": errs.tolist(),
     }
     if math.isfinite(f.band):
         summary["pass"] = bool(fit.slope <= -0.8 * (math.pi - f.band))
-    path = _emit("c-conv", label, tag, config,
-                 ("c", "l2_error", "sup_error", "quad_self_check"), rows, summary, out_dir)
-    summary["csv"] = str(path) if path else None
-    summary["fit"] = fit
-    summary["rows"] = rows
-    return summary
+    columns = ("c", "l2_error", "sup_error", "quad_self_check")
+    return {**_finish("c-conv", label, tag, config, columns, rows, summary, out_dir), "fit": fit}
 
 
 def run_noise_floor(
@@ -325,17 +331,16 @@ def run_noise_floor(
     """
     f = f if f is not None else bspline(3)
     base = base if base is not None else poisson(1.0)
+    # The frame bounds depend on the node section only, not on delta.
+    frame_a = {n: estimate_frame_bounds(NodeSequence.integers(min(n, 64))).A for n in N_grid}
     rows = []
     plateau = {}
     for delta in delta_grid:
+        noise = NoiseSpec(delta, seed, distribution) if delta > 0 else None
         sups = []
-        for n in N_grid:
-            noise = NoiseSpec(delta, seed, distribution) if delta > 0 else None
-            g, _ = interpolate_at_spacing(f, n, base, epsilon, M, noise, cover=T)
-            rep = error_norms(f, g, T=T, step=1.0 / (8 * n))
-            fb = estimate_frame_bounds(NodeSequence.integers(min(n, 64)))
-            floor = delta / math.sqrt(fb.A)
-            rows.append((delta, n, rep.l2_window, rep.sup_window, fb.A, floor))
+        for n, rep in _spacing_errors(f, N_grid, base, epsilon, M, T, noise):
+            rows.append((delta, n, rep.l2_window, rep.sup_window, frame_a[n],
+                         delta / math.sqrt(frame_a[n])))
             sups.append(rep.sup_window)
         if len(sups) >= 2 and sups[-1] > 0:
             change = abs(sups[-1] - sups[-2]) / max(sups[-1], sups[-2])
@@ -343,7 +348,7 @@ def run_noise_floor(
         else:
             plateau[delta] = False
     config = {
-        "study": "noise", "target": f.name, "kernel": _kernel_label(base),
+        "target": f.name, "kernel": _kernel_label(base),
         "distribution": distribution, "seed": seed, "epsilon": epsilon, "M": M, "T": T,
         "delta_grid": " ".join(_fmt(float(d)) for d in delta_grid),
         "N_grid": " ".join(map(str, N_grid)),
@@ -353,21 +358,16 @@ def run_noise_floor(
         len(clean) >= 2 and clean[-1][3] <= 0.6 * clean[-2][3]
     )
     summary = {
-        "study": "noise",
         "plateau": {_fmt(float(d)): v for d, v in plateau.items()},
         "clean_decreasing": clean_decreasing,
         "pass": bool(
             all(v for d, v in plateau.items() if d > 0)
             and (clean_decreasing or not clean)
         ),
-        "config": {k: _fmt(v) for k, v in config.items()},
     }
-    path = _emit("noise", _kernel_label(base), tag, config,
-                 ("delta", "N", "l2_error", "sup_error", "frame_A", "floor"),
-                 rows, summary, out_dir)
-    summary["csv"] = str(path) if path else None
-    summary["rows"] = rows
-    return summary
+    return _finish("noise", _kernel_label(base), tag, config,
+                   ("delta", "N", "l2_error", "sup_error", "frame_A", "floor"),
+                   rows, summary, out_dir)
 
 
 def run_jitter_study(
@@ -393,6 +393,7 @@ def run_jitter_study(
     if max(L_grid) >= 0.25:
         raise ValueError("jitter magnitudes must stay below 1/4")
     kern = poisson(c)
+    label = _kernel_label(kern)
     table = build_cardinal_table(kern, epsilon, 4 * J, 16)
     u = cardinal_series(f(np.arange(-J, J + 1, dtype=float)), 1, table)
     card_rep = error_norms(f, lambda x: eval_uniform(u, x), T=T, step=1.0 / 32.0)
@@ -410,25 +411,20 @@ def run_jitter_study(
         rows.append((L, kadec_margin(ns), rep.l2_window, rep.sup_window, ratio,
                      card_rep.l2_window))
     config = {
-        "study": "jitter", "target": f.name, "kernel": f"poisson-c{c:g}",
+        "target": f.name, "kernel": label,
         "pattern": pattern, "seed": seed, "J": J, "epsilon": epsilon, "T": T,
         "L_grid": " ".join(_fmt(float(L)) for L in L_grid),
         "support": " ".join(map(str, support)),
     }
     summary = {
-        "study": "jitter",
         "max_ratio": max(r[4] for r in rows),
         "all_finite": bool(all(math.isfinite(r[2]) for r in rows)),
         "pass": bool(all(math.isfinite(r[2]) for r in rows)),
         "cardinal_l2": card_rep.l2_window,
-        "config": {k: _fmt(v) for k, v in config.items()},
     }
-    path = _emit("jitter", f"poisson-c{c:g}", tag, config,
-                 ("L", "kadec_margin", "l2_error", "sup_error", "ratio_to_L0",
-                  "cardinal_l2"), rows, summary, out_dir)
-    summary["csv"] = str(path) if path else None
-    summary["rows"] = rows
-    return summary
+    return _finish("jitter", label, tag, config,
+                   ("L", "kadec_margin", "l2_error", "sup_error", "ratio_to_L0",
+                    "cardinal_l2"), rows, summary, out_dir)
 
 
 def _fit_eval_seconds(t0: float, t1: float | None, t2: float) -> tuple:
@@ -448,11 +444,12 @@ def run_conditioning_study(
 ) -> dict:
     """Gram conditioning vs the factorization-free cardinal path.
 
-    For each kernel and spacing 1/N on [-1, 1]: the Gram condition
-    estimate, and from both paths on a clean target the interpolation error
-    and the wall times of the fit and of the error evaluation, timed
-    separately (the cardinal fit includes its table build).  Ill-conditioned
-    Gram rows get an infinite condition number and a blank error.
+    For each kernel and spacing 1/N on [-1, 1]: the condition estimate of
+    the Gram fit's own factorization, and from both paths on a clean target
+    the interpolation error and the wall times of the fit and of the error
+    evaluation, timed separately (the cardinal fit includes its table
+    build).  Ill-conditioned Gram rows get an infinite condition number and
+    a blank error.
     """
     f = f if f is not None else bspline(3)
     kernel_list = tuple(kernel_list) or (gaussian(1.0), poisson(1.0))
@@ -460,16 +457,15 @@ def run_conditioning_study(
     for kern in kernel_list:
         for n in N_grid:
             nodes = np.arange(-n, n + 1) / n
-            cond = gram_condition(nodes, kern)
             t0, t1 = time.perf_counter(), None
             try:
                 g = fit_gram(SampleSet(nodes, f(nodes)), kern)
                 t1 = time.perf_counter()
+                cond = g.cond_estimate
                 gram_err = error_norms(f, lambda x: eval_gram(g, x), T=2.0,
                                        step=1.0 / (8 * n)).l2_window
             except IllConditionedError:
-                gram_err = float("nan")
-                cond = float("inf")
+                cond, gram_err = float("inf"), float("nan")
             gram_times = _fit_eval_seconds(t0, t1, time.perf_counter())
             t0, t1 = time.perf_counter(), None
             try:
@@ -482,7 +478,7 @@ def run_conditioning_study(
             rows.append((_kernel_label(kern), n, 1.0 / n, cond,
                          gram_err, gram_times, card_err, card_times))
     config = {
-        "study": "conditioning", "target": f.name, "epsilon": epsilon, "M": M,
+        "target": f.name, "epsilon": epsilon, "M": M,
         "N_grid": " ".join(map(str, N_grid)),
         "kernels": " ".join(_kernel_label(k) for k in kernel_list),
     }
@@ -494,7 +490,6 @@ def run_conditioning_study(
         if any(b < a for a, b in zip(conds, conds[1:])):
             growth_ok = False
     summary = {
-        "study": "conditioning",
         "pass": growth_ok,
         "timings": [
             {"kernel": r[0], "N": r[1],
@@ -502,13 +497,9 @@ def run_conditioning_study(
              "cardinal_fit_seconds": r[7][0], "cardinal_eval_seconds": r[7][1]}
             for r in rows
         ],
-        "config": {k: _fmt(v) for k, v in config.items()},
     }
     csv_rows = [(r[0], r[1], r[2], r[3], "" if math.isnan(r[4]) else _fmt(r[4]),
                  "" if math.isnan(r[6]) else _fmt(r[6])) for r in rows]
-    path = _emit("conditioning", "multi", tag, config,
-                 ("kernel", "N", "h", "condition", "gram_l2", "cardinal_l2"),
-                 csv_rows, summary, out_dir)
-    summary["csv"] = str(path) if path else None
-    summary["rows"] = rows
-    return summary
+    return _finish("conditioning", "multi", tag, config,
+                   ("kernel", "N", "h", "condition", "gram_l2", "cardinal_l2"),
+                   rows, summary, out_dir, csv_rows)

@@ -12,6 +12,7 @@ interpolant obtained by solving the symmetric Gram system
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,7 @@ from .errors import (
     IllConditionedError,
 )
 from .kernels import GAUSSIAN, Kernel, kernel_spatial
+from .sampling import _read_columns
 
 _GRAM_MAX_NODES = 4096
 _COND_MAX_NODES = 2048
@@ -60,24 +62,11 @@ class SampleSet:
     @classmethod
     def from_file(cls, path) -> "SampleSet":
         """Read a two-column text file (node, value), '#' starts a comment."""
-        nodes, values = [], []
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                body = line.split("#", 1)[0].strip()
-                if not body:
-                    continue
-                parts = body.split()
-                if len(parts) != 2:
-                    raise ConfigError(f"{path}:{lineno}: expected two columns")
-                try:
-                    nodes.append(float(parts[0]))
-                    values.append(float(parts[1]))
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        if not nodes:
+        data = _read_columns(path, 2)
+        if data.size == 0:
             raise ConfigError(f"{path}: no data lines")
-        order = np.argsort(nodes)
-        return cls(np.array(nodes)[order], np.array(values)[order])
+        order = np.argsort(data[:, 0])
+        return cls(data[order, 0], data[order, 1])
 
 
 @dataclass(frozen=True)
@@ -104,6 +93,19 @@ def cardinal_series(coeffs, scale: int, table: CardinalTable) -> UniformInterpol
     return UniformInterpolant(int(scale), np.asarray(coeffs, dtype=float), table)
 
 
+def _grid_half_count(nodes: np.ndarray) -> int:
+    """N >= 1 for nodes that are the uniform grid {j/N : |j| <= N}.
+
+    Raises GridMismatchError for any other nodes.
+    """
+    if nodes.size % 2 == 0:
+        raise GridMismatchError("uniform grid must have an odd number of nodes")
+    n = (nodes.size - 1) // 2
+    if n == 0 or not np.allclose(nodes, np.arange(-n, n + 1) / n, rtol=0, atol=1e-12):
+        raise GridMismatchError("nodes are not the uniform grid {j/N : |j| <= N}")
+    return n
+
+
 def fit_uniform(samples: SampleSet, k: Kernel, table: CardinalTable) -> UniformInterpolant:
     """Interpolant of samples taken exactly at {j/N : |j| <= N}.
 
@@ -112,13 +114,7 @@ def fit_uniform(samples: SampleSet, k: Kernel, table: CardinalTable) -> UniformI
     """
     if table.kernel != k:
         raise DomainError("table was built for a different kernel")
-    n_nodes = samples.nodes.size
-    if n_nodes % 2 == 0:
-        raise GridMismatchError("uniform grid must have an odd number of nodes")
-    n = (n_nodes - 1) // 2
-    expected = np.arange(-n, n + 1) / max(n, 1)
-    if n == 0 or not np.allclose(samples.nodes, expected, rtol=0, atol=1e-12):
-        raise GridMismatchError("nodes are not the uniform grid {j/N : |j| <= N}")
+    n = _grid_half_count(samples.nodes)
     if table.half_width_N < 2 * n:
         raise CoverageError(
             f"table half-width {table.half_width_N} < 2 N = {2 * n}"
@@ -222,6 +218,22 @@ def _power_condition(mat: np.ndarray, lu_and_piv, iters: int = 50, rtol: float =
     return hi * inv_hi
 
 
+def _factor_gram(mat: np.ndarray):
+    """LU factors of a Gram matrix, for ``lu_solve`` and ``_power_condition``.
+
+    An exactly singular matrix (a zero or non-finite pivot) raises
+    IllConditionedError with an infinite condition estimate.  ``lu_factor``
+    only warns on it, and a solve would then leak NaNs.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", linalg.LinAlgWarning)
+        lu = linalg.lu_factor(mat)
+    if not np.all(np.isfinite(lu[0])) or np.any(np.diag(lu[0]) == 0.0):
+        raise IllConditionedError("gram matrix is singular to working precision",
+                                  cond_estimate=float("inf"))
+    return lu
+
+
 def gram_condition(nodes, k: Kernel) -> float:
     """Condition estimate of the Gram matrix at these nodes.
 
@@ -234,13 +246,10 @@ def gram_condition(nodes, k: Kernel) -> float:
         raise DomainError("nodes must be distinct")
     mat = _gram_matrix(np.sort(nodes), k)
     try:
-        lu = linalg.lu_factor(mat)
-    except linalg.LinAlgError:
+        lu = _factor_gram(mat)
+    except IllConditionedError:
         return float("inf")
-    if not np.all(np.isfinite(lu[0])) or np.any(np.diag(lu[0]) == 0.0):
-        return float("inf")
-    cond = _power_condition(mat, lu)
-    return float(cond)
+    return float(_power_condition(mat, lu))
 
 
 def fit_gram(s: SampleSet, k: Kernel) -> GramInterpolant:
@@ -257,12 +266,9 @@ def fit_gram(s: SampleSet, k: Kernel) -> GramInterpolant:
         raise DomainError(f"fit_gram capped at {_GRAM_MAX_NODES} nodes")
     mat = _gram_matrix(s.nodes, k)
     y = s.values
-    try:
-        lu = linalg.lu_factor(mat)
-        a = linalg.lu_solve(lu, y)
-        a = a + linalg.lu_solve(lu, y - mat @ a)  # one refinement step
-    except linalg.LinAlgError as exc:
-        raise IllConditionedError(f"gram factorization failed: {exc}") from exc
+    lu = _factor_gram(mat)
+    a = linalg.lu_solve(lu, y)
+    a = a + linalg.lu_solve(lu, y - mat @ a)  # one refinement step
     cond = _power_condition(mat, lu) if n <= _COND_MAX_NODES else float("nan")
     y_norm = float(np.linalg.norm(y))
     residual = float(np.linalg.norm(mat @ a - y))

@@ -93,8 +93,8 @@ def _check_r(r):
     return r
 
 
-# Integer orders up to this one run the k0/k1 recurrence, one array step
-# per order; higher ones go to kv, so an order like 1e20 cannot stall.
+# Integer and half-integer orders up to this one run an upward recurrence,
+# one step per order; higher ones go to kv, so an order like 1e20 cannot stall.
 _MAX_RECURRENCE_ORDER = 64
 
 
@@ -110,11 +110,12 @@ def _k_upward(order: float, k_lo, k_hi, r: np.ndarray, steps: int):
 def bessel_k(nu: float, r):
     """Modified Bessel function of the second kind K_nu(r) for r > 0.
 
-    Symmetric in the order (K_nu = K_{-nu}).  Half-integer orders use the
-    closed elementary form K_{1/2}(r) = sqrt(pi/(2r)) e^{-r}, integer orders
-    Cephes' k0 and k1, each carried up by the recurrence; other orders defer
-    to scipy's kv (AMOS).  At integer orders kv is slower and its relative
-    error reaches ~5e-14, against ~7e-16 for the recurrence.
+    Symmetric in the order (K_nu = K_{-nu}).  Half-integer orders up to
+    ``_MAX_RECURRENCE_ORDER`` use the closed elementary form
+    K_{1/2}(r) = sqrt(pi/(2r)) e^{-r}, integer ones Cephes' k0 and k1, each
+    carried up by the recurrence; other orders defer to scipy's kv (AMOS).
+    At integer orders kv is slower and its relative error reaches ~5e-14,
+    against ~7e-16 for the recurrence.
     """
     if not np.isfinite(nu):
         raise DomainError("bessel_k requires a finite order")
@@ -125,18 +126,18 @@ def bessel_k(nu: float, r):
         # in the order, so flushing to zero is exact to double precision.
         nu = 0.0
     n = round(nu)
-    if abs(nu - round(nu - 0.5) - 0.5) < 1e-15:
+    half = abs(nu - round(nu - 0.5) - 0.5) < 1e-15
+    if nu > _MAX_RECURRENCE_ORDER or not (half or abs(nu - n) < 1e-15):
+        out = special.kv(nu, r_arr)
+    elif half:
         k_half = np.sqrt(np.pi / (2.0 * r_arr)) * np.exp(-r_arr)  # K_{-1/2} = K_{1/2}
         out = _k_upward(0.5, k_half, k_half, r_arr, int(round(nu - 0.5)))
-    elif abs(nu - n) < 1e-15 and n <= _MAX_RECURRENCE_ORDER:
-        if n == 0:
-            out = special.k0(r_arr)
-        elif n == 1:
-            out = special.k1(r_arr)
-        else:
-            out = _k_upward(1.0, special.k0(r_arr), special.k1(r_arr), r_arr, n - 1)
+    elif n == 0:
+        out = special.k0(r_arr)
+    elif n == 1:
+        out = special.k1(r_arr)
     else:
-        out = special.kv(nu, r_arr)
+        out = _k_upward(1.0, special.k0(r_arr), special.k1(r_arr), r_arr, n - 1)
     return out if np.ndim(r) else float(out)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     BudgetExceededError,
+    ConfigError,
     DomainError,
     JitterTooLargeError,
     SeparationError,
@@ -29,6 +30,26 @@ GAUSSIAN_RESCALED = "gaussian-then-rescaled"
 SINGLE_SPIKE = "single-spike"
 
 _MIN_SEPARATION = 1e-9
+
+
+def _read_columns(path, ncols: int) -> np.ndarray:
+    """(rows, ncols) array of a text file's numbers, ``ncols`` a line.
+
+    '#' starts a comment; a malformed line raises ConfigError("path:line: ...").
+    """
+    rows = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split("#", 1)[0].split()
+            if not parts:
+                continue
+            try:
+                if len(parts) != ncols:
+                    raise ValueError(f"expected {ncols} value(s), got {len(parts)}")
+                rows.append([float(v) for v in parts])
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+    return np.array(rows, dtype=float).reshape(-1, ncols)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -72,13 +93,7 @@ class NodeSequence:
     @classmethod
     def from_file(cls, path) -> "NodeSequence":
         """Load one node per line; '#' starts a comment."""
-        vals = []
-        with open(path) as fh:
-            for line in fh:
-                body = line.split("#", 1)[0].strip()
-                if body:
-                    vals.append(float(body))
-        return cls(np.asarray(vals, dtype=float))
+        return cls(_read_columns(path, 1)[:, 0])
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -193,7 +193,7 @@ class TestSymbolFold:
         f = lambda xi: mq.kernel_fourier(k, xi)
         spec = _even_spectrum(m, q, f, mq.kernel_fourier_at_zero(k)).real
         got = _fold_symbol(_symbol_rows(spec, plan.tau, f))
-        want = _symbol_terms(plan, self.residues(q))
+        want = _symbol_terms(plan.kernel, plan.tau, self.residues(q))
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     def test_rows_past_half_are_evaluated(self):

@@ -106,6 +106,24 @@ class TestInterp:
         assert code == 0
         assert "# mode=scattered" in text
 
+    @pytest.mark.parametrize("text", ["0.0 1.0\n", "-1.0 1.0\n-0.5 0.0\n0.5 2.0\n1.0 1.0\n"])
+    def test_auto_mode_needs_an_odd_grid(self, capsys, tmp_path, text):
+        # One node, or an even number of evenly spaced ones, is no {j/N} grid.
+        path = tmp_path / "samples.txt"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "interp", "--samples", str(path), "--probe=0:1:3")
+        assert code == 0
+        assert out.startswith("# mode=scattered\n")
+
+    def test_singular_gram_is_numerical_failure(self, capsys, tmp_path):
+        path = tmp_path / "samples.txt"
+        path.write_text("0.0 1.0\n1.0 2.0\n2.0 3.0\n")
+        code, _, err = run_cli(
+            capsys, "interp", "--samples", str(path), "--family", "gaussian",
+            "--lambda", "1e-20",
+        )
+        assert code == 1 and "numerical failure" in err
+
     def test_missing_samples(self, capsys):
         code, _, err = run_cli(capsys, "interp", "--family", "poisson")
         assert code == 2 and "samples" in err

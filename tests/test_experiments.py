@@ -185,6 +185,28 @@ class TestConditioningStudy:
     def test_pass_flag(self, cond_study):
         assert cond_study["pass"]
 
+    def test_condition_equals_gram_condition(self):
+        # The study reads the condition from the Gram fit's own LU; it must
+        # be the standalone estimate, bit for bit.
+        out = mq.run_conditioning_study()
+        kernels = (mq.gaussian(1.0), mq.poisson(1.0))
+        expected = [(k, n) for k in kernels for n in (1, 2, 4, 8)]
+        assert len(out["rows"]) == len(expected)
+        finite = 0
+        for row, (k, n) in zip(out["rows"], expected):
+            if math.isfinite(row[3]):
+                finite += 1
+                assert row[3] == mq.gram_condition(np.arange(-n, n + 1) / n, k)
+        assert finite >= 6
+
+    def test_singular_gram_row(self, tmp_path):
+        out = mq.run_conditioning_study(N_grid=(1,), kernel_list=(mq.gaussian(1e-20),),
+                                        out_dir=tmp_path)
+        assert out["rows"][0][3] == math.inf
+        lines = (tmp_path / "conditioning-multi-run.csv").read_text().splitlines()
+        assert lines[-2] == "kernel,N,h,condition,gram_l2,cardinal_l2"
+        assert lines[-1].split(",")[3:5] == ["inf", ""]
+
     def test_timings_split_fit_and_eval(self, cond_study):
         keys = ("gram_fit_seconds", "gram_eval_seconds",
                 "cardinal_fit_seconds", "cardinal_eval_seconds")

@@ -192,6 +192,15 @@ class TestGram:
             mq.fit_gram(s, mq.gaussian(1.0))
         assert exc.value.cond_estimate > 1e12 or math.isnan(exc.value.cond_estimate)
 
+    def test_exactly_singular_is_ill_conditioned(self):
+        # exp(-1e-20 d^2) rounds to 1 for every node difference d here: a
+        # matrix of ones, whose LU has exact zero pivots.
+        s = mq.SampleSet(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(IllConditionedError) as exc:
+            mq.fit_gram(s, mq.gaussian(1e-20))
+        assert exc.value.cond_estimate == math.inf
+        assert mq.gram_condition(s.nodes, mq.gaussian(1e-20)) == math.inf
+
     @given(shift=st.floats(-5, 5))
     @settings(max_examples=20, deadline=None)
     def test_translation_invariance(self, shift):

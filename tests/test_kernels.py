@@ -63,6 +63,16 @@ class TestBesselK:
         # loop of one step per order.
         mq.bessel_k(1e20, 1.0)
 
+    def test_high_half_integer_order_goes_to_kv(self):
+        # Past the recurrence's range a half-integer order is kv's value,
+        # not an accumulation of one rounding step per order.
+        from scipy import special
+
+        r = np.linspace(50.0, 700.0, 131)
+        np.testing.assert_array_equal(mq.bessel_k(200.5, r), special.kv(200.5, r))
+        # An order this large would take 1e12 recurrence steps.
+        np.testing.assert_array_equal(mq.bessel_k(1e12 + 0.5, r), special.kv(1e12 + 0.5, r))
+
     def test_half_integer_closed_form(self):
         r = np.linspace(0.2, 20.0, 40)
         want = np.sqrt(np.pi / (2 * r)) * np.exp(-r)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import mqcardinal as mq
 from mqcardinal.errors import (
     BudgetExceededError,
+    ConfigError,
     DomainError,
     JitterTooLargeError,
     SeparationError,
@@ -43,6 +44,16 @@ class TestNodeSequence:
         ns.save(path)
         back = mq.NodeSequence.from_file(path)
         np.testing.assert_array_equal(back.nodes, ns.nodes)
+
+    def test_file_errors_name_the_line(self, tmp_path):
+        two = tmp_path / "two.txt"
+        two.write_text("# nodes\n-1.0\n0.0 0.5\n1.0\n")
+        with pytest.raises(ConfigError, match=r"two\.txt:3: expected 1 value"):
+            mq.NodeSequence.from_file(two)
+        word = tmp_path / "word.txt"
+        word.write_text("-1.0\n0.0\nnone\n")
+        with pytest.raises(ConfigError, match=r"word\.txt:3: "):
+            mq.NodeSequence.from_file(word)
 
 
 class TestKadecMargin:
