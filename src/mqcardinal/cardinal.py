@@ -73,20 +73,24 @@ def _phihat_envelope(alpha: float, c: float, r) -> np.ndarray:
 
 
 def _symbol_terms(k: Kernel, tau: int, xi_star: np.ndarray) -> np.ndarray:
-    """Symbol truncated to shifts |j| <= tau, on an array of reduced frequencies."""
+    """Symbol truncated to shifts |j| <= tau, on an array of reduced frequencies.
+
+    One transform call covers the whole (2 tau + 1, P) shift grid; the rows are
+    then added in the order j = -tau .. tau.
+    """
+    args = xi_star[None, :] + TWO_PI * np.arange(-tau, tau + 1)[:, None]
+    vals = np.empty_like(args)
+    nz = args != 0.0
+    if not np.all(nz):
+        if k.family != GAUSSIAN and k.alpha >= -0.5:
+            raise SingularityError(
+                "periodized symbol hits the non-integrable xi = 0 singularity"
+            )
+        vals[~nz] = kernel_fourier_at_zero(k)
+    vals[nz] = kernel_fourier(k, args[nz])
     total = np.zeros_like(xi_star)
-    for j in range(-tau, tau + 1):
-        args = xi_star + TWO_PI * j
-        vals = np.empty_like(args)
-        nz = args != 0.0
-        if np.any(~nz):
-            if k.family != GAUSSIAN and k.alpha >= -0.5:
-                raise SingularityError(
-                    "periodized symbol hits the non-integrable xi = 0 singularity"
-                )
-            vals[~nz] = kernel_fourier_at_zero(k)
-        vals[nz] = kernel_fourier(k, args[nz])
-        total += vals
+    for row in vals:
+        total += row
     return total
 
 

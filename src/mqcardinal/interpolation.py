@@ -13,7 +13,8 @@ interpolant obtained by solving the symmetric Gram system
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import fft, linalg
@@ -26,12 +27,17 @@ from .errors import (
     GridMismatchError,
     IllConditionedError,
 )
-from .kernels import GAUSSIAN, Kernel, kernel_spatial
+from .kernels import GAUSSIAN, Kernel, _kernel_spatial_inplace
 from .sampling import _read_columns
 
 _GRAM_MAX_NODES = 4096
 _COND_MAX_NODES = 2048
 _RESIDUAL_RTOL = 1e-8
+# eval_gram works through the probes in blocks of this many bytes of kernel
+# values, a multiple of 64 rows.  OpenBLAS's dgemv takes rows past a multiple
+# of its unroll through a less accurate path, so blocks with leftover rows
+# would lose digits against one whole-matrix product.
+_EVAL_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -183,11 +189,23 @@ class GramInterpolant:
     nodes: np.ndarray
     a: np.ndarray
     kernel: Kernel
-    cond_estimate: float = field(default=float("nan"))
+
+    @cached_property
+    def cond_estimate(self) -> float:
+        """:func:`gram_condition` of the nodes, computed on first read.
+
+        NaN above ``_COND_MAX_NODES`` nodes.
+        """
+        if self.nodes.size > _COND_MAX_NODES:
+            return float("nan")
+        return gram_condition(self.nodes, self.kernel)
 
 
 def _gram_matrix(nodes: np.ndarray, k: Kernel) -> np.ndarray:
-    return kernel_spatial(k, nodes[:, None] - nodes[None, :])
+    # A kernel value that overflows leaves inf in the matrix, which
+    # _factor_gram reports as IllConditionedError.
+    with np.errstate(over="ignore"):
+        return _kernel_spatial_inplace(k, nodes[:, None] - nodes[None, :])
 
 
 def _power_condition(mat: np.ndarray, lu_and_piv, iters: int = 50, rtol: float = 1e-3):
@@ -221,14 +239,20 @@ def _power_condition(mat: np.ndarray, lu_and_piv, iters: int = 50, rtol: float =
 def _factor_gram(mat: np.ndarray):
     """LU factors of a Gram matrix, for ``lu_solve`` and ``_power_condition``.
 
-    An exactly singular matrix (a zero or non-finite pivot) raises
-    IllConditionedError with an infinite condition estimate.  ``lu_factor``
-    only warns on it, and a solve would then leak NaNs.
+    A matrix with a non-finite entry (a kernel value that overflowed), or an
+    exactly singular one (a zero pivot), raises IllConditionedError with an
+    infinite condition estimate.  The scan of the factors is the one
+    finiteness check: non-finite entries make non-finite factors.
+    ``lu_factor`` only warns on a zero pivot, and a solve would then leak NaNs.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", linalg.LinAlgWarning)
-        lu = linalg.lu_factor(mat)
-    if not np.all(np.isfinite(lu[0])) or np.any(np.diag(lu[0]) == 0.0):
+        lu = linalg.lu_factor(mat, check_finite=False)
+    if not np.all(np.isfinite(lu[0])):
+        raise IllConditionedError("gram matrix or its LU factors are not finite; "
+                                  "the kernel may overflow at these nodes",
+                                  cond_estimate=float("inf"))
+    if np.any(np.diag(lu[0]) == 0.0):
         raise IllConditionedError("gram matrix is singular to working precision",
                                   cond_estimate=float("inf"))
     return lu
@@ -257,7 +281,9 @@ def fit_gram(s: SampleSet, k: Kernel) -> GramInterpolant:
 
     One step of iterative refinement is applied; if the refined residual
     still exceeds 1e-8 * ||y||, the system is reported as ill-conditioned
-    (no silent regularization).
+    (no silent regularization), with the condition estimate from this
+    factorization.  A successful fit computes no estimate; the interpolant's
+    ``cond_estimate`` does on first read.
     """
     if k.family != GAUSSIAN and k.alpha >= -0.5:
         raise DomainError("gram interpolation requires alpha < -1/2")
@@ -269,19 +295,31 @@ def fit_gram(s: SampleSet, k: Kernel) -> GramInterpolant:
     lu = _factor_gram(mat)
     a = linalg.lu_solve(lu, y)
     a = a + linalg.lu_solve(lu, y - mat @ a)  # one refinement step
-    cond = _power_condition(mat, lu) if n <= _COND_MAX_NODES else float("nan")
     y_norm = float(np.linalg.norm(y))
     residual = float(np.linalg.norm(mat @ a - y))
     if not np.all(np.isfinite(a)) or (y_norm > 0 and residual > _RESIDUAL_RTOL * y_norm):
         raise IllConditionedError(
             f"gram residual {residual:.3g} exceeds {_RESIDUAL_RTOL:g} * ||y||",
-            cond_estimate=cond,
+            cond_estimate=(_power_condition(mat, lu) if n <= _COND_MAX_NODES
+                           else float("nan")),
         )
-    return GramInterpolant(s.nodes.copy(), a, k, cond)
+    return GramInterpolant(s.nodes.copy(), a, k)
 
 
 def eval_gram(g: GramInterpolant, x):
-    """Evaluate sum_j a_j phi(x - x_j)."""
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = kernel_spatial(g.kernel, x_arr[:, None] - g.nodes[None, :]) @ g.a
-    return float(vals[0]) if np.ndim(x) == 0 else vals
+    """Evaluate sum_j a_j phi(x - x_j).
+
+    The probes go in blocks of rows through one reused buffer of kernel
+    values, so memory stays at one block for any probe count.
+    """
+    x_arr = np.asarray(x, dtype=float)
+    probes = x_arr.ravel()
+    nodes = g.nodes
+    rows = max(64, _EVAL_BLOCK_BYTES // (8 * nodes.size) // 64 * 64)
+    buf = np.empty((min(rows, probes.size), nodes.size))
+    vals = np.empty(probes.size)
+    for i in range(0, probes.size, rows):
+        block = buf[: min(rows, probes.size - i)]
+        np.subtract(probes[i : i + rows, None], nodes[None, :], out=block)
+        np.matmul(_kernel_spatial_inplace(g.kernel, block), g.a, out=vals[i : i + rows])
+    return float(vals[0]) if x_arr.ndim == 0 else vals.reshape(x_arr.shape)

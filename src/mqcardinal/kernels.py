@@ -150,13 +150,26 @@ def bessel_k_upper_bound(nu: float, r):
     return out if np.ndim(r) else float(out)
 
 
+def _kernel_spatial_inplace(k: Kernel, d: np.ndarray) -> np.ndarray:
+    """Overwrite the float array ``d`` with phi(d) and return it.
+
+    The operations and their order are those of exp((-lam x) x) and
+    (x x + c c)^alpha, so values are bit-identical to the plain expressions.
+    The multiquadric allocates nothing; the gaussian needs one temporary.
+    """
+    if k.family == GAUSSIAN:
+        np.multiply(d, -k.lam * d, out=d)
+        np.exp(d, out=d)
+    else:
+        np.multiply(d, d, out=d)
+        d += k.c * k.c
+        d **= k.alpha
+    return d
+
+
 def kernel_spatial(k: Kernel, x):
     """Evaluate the kernel in the spatial domain."""
-    x = np.asarray(x, dtype=float)
-    if k.family == GAUSSIAN:
-        out = np.exp(-k.lam * x * x)
-    else:
-        out = (x * x + k.c * k.c) ** k.alpha
+    out = _kernel_spatial_inplace(k, np.array(x, dtype=float))
     return out if out.ndim else float(out)
 
 

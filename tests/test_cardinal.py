@@ -25,11 +25,13 @@ from mqcardinal.cardinal import (
     periodized_symbol_lower_bound,
     reduce_frequency,
 )
+from mqcardinal import cardinal
 from mqcardinal.errors import (
     BandwidthError,
     DomainError,
     NumericalError,
     OutOfRangeError,
+    SingularityError,
     UnsupportedKernelError,
 )
 
@@ -217,6 +219,52 @@ class TestSymbolFold:
         want = special.logsumexp(expo, axis=1)
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-13)
+
+
+def symbol_terms_loop(k, tau, xi_star):
+    """Reference for _symbol_terms: one transform call per shift j = -tau .. tau."""
+    total = np.zeros_like(xi_star)
+    for j in range(-tau, tau + 1):
+        args = xi_star + TWO_PI * j
+        vals = np.empty_like(args)
+        nz = args != 0.0
+        if np.any(~nz):
+            if k.family != "gaussian" and k.alpha >= -0.5:
+                raise SingularityError("xi = 0")
+            vals[~nz] = mq.kernel_fourier_at_zero(k)
+        vals[nz] = mq.kernel_fourier(k, args[nz])
+        total += vals
+    return total
+
+
+class TestSymbolTerms:
+    """The shift-grid symbol sum is bit-identical to the per-shift loop."""
+
+    @pytest.mark.parametrize(
+        "k",
+        [mq.poisson(0.4), mq.gaussian(0.5), mq.multiquadric(-0.75, 1.0),
+         mq.multiquadric(-1.5, 0.7), mq.multiquadric(-2.5, 2.0), mq.multiquadric(-4.0, 0.1)],
+    )
+    @pytest.mark.parametrize("tau", [1, 7, 50])
+    def test_matches_loop_oracle(self, k, tau):
+        xi = np.concatenate([[0.0, math.pi, -1e-9], np.linspace(-math.pi, math.pi, 41)[1:]])
+        if k.family != "gaussian" and k.alpha >= -0.5:
+            xi = xi[1:]  # xi = 0 is the non-integrable singularity
+        np.testing.assert_array_equal(_symbol_terms(k, tau, xi), symbol_terms_loop(k, tau, xi))
+
+    def test_singularity_at_zero(self):
+        with pytest.raises(SingularityError):
+            _symbol_terms(mq.multiquadric(-0.25, 1.0), 3, np.array([0.5, 0.0]))
+
+    def test_tau_sweep_matches_loop_oracle(self, monkeypatch):
+        # compute_tau for alpha < -1 takes its d_lower from the symbol sum.
+        cases = [(a, c, eps) for a in np.linspace(-1.05, -6.0, 6)
+                 for c in (0.05, 0.5, 3.0, 20.0) for eps in (1e-6, 1e-14)]
+        fast = [mq.compute_tau(mq.multiquadric(a, c), eps) for a, c, eps in cases]
+        monkeypatch.setattr(cardinal, "_symbol_terms", symbol_terms_loop)
+        slow = [mq.compute_tau(mq.multiquadric(a, c), eps) for a, c, eps in cases]
+        for p, q in zip(fast, slow):
+            assert repr((p.tau, p.d_lower, p.gamma)) == repr((q.tau, q.d_lower, q.gamma))
 
 
 class TestReduceFrequency:

@@ -124,6 +124,16 @@ class TestInterp:
         )
         assert code == 1 and "numerical failure" in err
 
+    def test_kernel_overflow_is_numerical_failure(self, capsys, tmp_path):
+        # (x^2 + c^2)^alpha overflows on the Gram diagonal: exit 1, not 2.
+        path = tmp_path / "samples.txt"
+        path.write_text("0.0 1.0\n1.0 2.0\n2.0 3.0\n")
+        code, _, err = run_cli(
+            capsys, "interp", "--samples", str(path), "--family", "multiquadric",
+            "--alpha", "-3", "--c", "1e-120",
+        )
+        assert code == 1 and "not finite" in err
+
     def test_missing_samples(self, capsys):
         code, _, err = run_cli(capsys, "interp", "--family", "poisson")
         assert code == 2 and "samples" in err

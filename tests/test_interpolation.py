@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mqcardinal as mq
+from mqcardinal import interpolation
 from mqcardinal.errors import (
     ConfigError,
     CoverageError,
@@ -201,6 +202,40 @@ class TestGram:
         assert exc.value.cond_estimate == math.inf
         assert mq.gram_condition(s.nodes, mq.gaussian(1e-20)) == math.inf
 
+    def test_kernel_overflow_is_ill_conditioned(self):
+        # (0 + 1e-240)^-3 overflows on the diagonal.  No RuntimeWarning may
+        # escape (pytest turns it into an error), and no bare ValueError.
+        s = mq.SampleSet(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(IllConditionedError, match="not finite") as exc:
+            mq.fit_gram(s, mq.multiquadric(-3.0, 1e-120))
+        assert exc.value.cond_estimate == math.inf
+        assert mq.gram_condition(s.nodes, mq.multiquadric(-3.0, 1e-120)) == math.inf
+
+    def test_fit_computes_no_condition_estimate(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("condition estimate computed during the fit")
+
+        monkeypatch.setattr(interpolation, "_power_condition", fail)
+        nodes = np.arange(-8, 9) / 8.0
+        g = mq.fit_gram(mq.SampleSet(nodes, np.cos(nodes)), mq.poisson(1.0))
+        np.testing.assert_allclose(mq.eval_gram(g, nodes), np.cos(nodes), atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "k", [mq.poisson(1.0), mq.multiquadric(-1.5, 1.0), mq.gaussian(1.0)]
+    )
+    def test_cond_estimate_is_gram_condition(self, k):
+        nodes = np.arange(-6, 7) / 4.0
+        g = mq.fit_gram(mq.SampleSet(nodes, np.sin(nodes)), k)
+        assert "cond_estimate" not in vars(g)  # nothing computed yet
+        want = mq.gram_condition(nodes, k)
+        assert g.cond_estimate == want and math.isfinite(want)
+        assert vars(g)["cond_estimate"] == want  # cached on first read
+
+    def test_cond_estimate_nan_above_cap(self):
+        n = interpolation._COND_MAX_NODES + 1
+        g = mq.GramInterpolant(np.arange(float(n)), np.zeros(n), mq.poisson(1.0))
+        assert math.isnan(g.cond_estimate)
+
     @given(shift=st.floats(-5, 5))
     @settings(max_examples=20, deadline=None)
     def test_translation_invariance(self, shift):
@@ -211,6 +246,41 @@ class TestGram:
         a0 = mq.fit_gram(mq.SampleSet(nodes, y), k).a
         a1 = mq.fit_gram(mq.SampleSet(nodes + shift, y), k).a
         np.testing.assert_allclose(a0, a1, rtol=1e-8, atol=1e-10)
+
+
+def dense_eval_gram(g, x):
+    """Reference for eval_gram: the whole probe-by-node kernel matrix at once."""
+    k = g.kernel
+    d = np.atleast_1d(np.asarray(x, dtype=float))[:, None] - g.nodes[None, :]
+    if k.family == "gaussian":
+        mat = np.exp(-k.lam * d * d)
+    else:
+        mat = (d * d + k.c * k.c) ** k.alpha
+    return mat @ g.a
+
+
+class TestEvalGramBlocks:
+    """Blocked evaluation against the dense product, on every block edge."""
+
+    @pytest.mark.parametrize(
+        "k", [mq.poisson(1.0), mq.multiquadric(-2.5, 1.0), mq.gaussian(0.5)]
+    )
+    @pytest.mark.parametrize("n", [1, 2, 600])
+    def test_against_dense_oracle(self, k, n):
+        rng = np.random.default_rng(n)
+        nodes = np.arange(n) - n / 2.0 + rng.uniform(-0.2, 0.2, n)
+        g = mq.fit_gram(mq.SampleSet(nodes, rng.normal(size=n)), k)
+        rows = max(64, interpolation._EVAL_BLOCK_BYTES // (8 * n) // 64 * 64)
+        assert rows % 64 == 0
+        tol = 1e-16 * np.sum(np.abs(g.a))
+        for p in (0, 1, 63, 64, 65, rows - 1, rows, rows + 1, 3 * rows + 5):
+            x = rng.uniform(nodes[0] - 2.0, nodes[-1] + 2.0, p)
+            got = mq.eval_gram(g, x)
+            assert got.shape == (p,)
+            assert np.max(np.abs(got - dense_eval_gram(g, x)), initial=0.0) <= tol
+        scalar = mq.eval_gram(g, float(nodes[0]) + 0.1)
+        assert isinstance(scalar, float)
+        assert abs(scalar - dense_eval_gram(g, float(nodes[0]) + 0.1)[0]) <= tol
 
 
 class TestGramCondition:

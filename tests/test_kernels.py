@@ -124,6 +124,26 @@ class TestKernelConstruction:
         out = mq.kernel_spatial(g, xs)
         assert out[0] == out[2]
 
+    @pytest.mark.parametrize(
+        "k",
+        [mq.poisson(0.7), mq.multiquadric(-1.5, 2.0), mq.multiquadric(-0.75, 0.3),
+         mq.multiquadric(0.5, 1.0), mq.gaussian(3.0), mq.gaussian(1e-3)],
+    )
+    def test_spatial_bit_identical_to_plain_expressions(self, k):
+        # The in-place evaluation keeps the plain expressions' operation order.
+        def plain(x):
+            if k.family == "gaussian":
+                return np.exp(-k.lam * x * x)
+            return (x * x + k.c * k.c) ** k.alpha
+
+        x = np.random.default_rng(3).normal(scale=4.0, size=(37, 29))
+        x[0, :3] = [0.0, -0.0, 1e-300]
+        before = x.copy()
+        np.testing.assert_array_equal(mq.kernel_spatial(k, x), plain(x))
+        np.testing.assert_array_equal(x, before)  # the caller's array is untouched
+        assert mq.kernel_spatial(k, 0.3) == float(plain(np.float64(0.3)))
+        assert isinstance(mq.kernel_spatial(k, 2), float)
+
 
 class TestFourierTransforms:
     def test_poisson_closed_form(self):
