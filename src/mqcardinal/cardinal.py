@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import fft
@@ -26,7 +27,13 @@ from .errors import (
     SingularityError,
     UnsupportedKernelError,
 )
-from .kernels import GAUSSIAN, Kernel, kernel_fourier, kernel_fourier_at_zero
+from .kernels import (
+    GAUSSIAN,
+    Kernel,
+    _finite_constant,
+    kernel_fourier,
+    kernel_fourier_at_zero,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,6 +45,9 @@ _PERIOD_FACTOR = 8
 # Spare complex values at the end of each row of the table build's (M, Q)
 # spectrum array; see _even_spectrum.
 _ROW_PAD = 8
+# Zeros on each side of the table in the cardinal series convolution; see
+# series_samples.
+_SERIES_PAD = 2
 
 
 @dataclass(frozen=True)
@@ -60,15 +70,18 @@ class TruncationPlan:
         return 2 * self.tau + 1
 
 
-def _mq_tail_prefactor(alpha: float, c: float) -> float:
+def _mq_tail_prefactor(k: Kernel) -> float:
     # phihat(r) <= lam * r^(-alpha-1) * e^(-c r) * e^(nu^2 / (2 c r))
-    return 2.0 ** (1.0 + alpha) / math.gamma(-alpha) * c**alpha * TWO_PI
+    return _finite_constant(
+        k, lambda: 2.0 ** (1.0 + k.alpha) / math.gamma(-k.alpha) * k.c**k.alpha * TWO_PI
+    )
 
 
-def _phihat_envelope(alpha: float, c: float, r) -> np.ndarray:
+def _phihat_envelope(k: Kernel, r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
+    alpha, c = k.alpha, k.c
     nu = alpha + 0.5
-    lam = _mq_tail_prefactor(alpha, c)
+    lam = _mq_tail_prefactor(k)
     return lam * r ** (-alpha - 1.0) * np.exp(-c * r + nu * nu / (2.0 * c * r))
 
 
@@ -129,13 +142,18 @@ def compute_tau(k: Kernel, epsilon: float) -> TruncationPlan:
         return TruncationPlan(k, epsilon, max(1, tau), gamma, d_lower)
 
     if k.alpha > -1.0:
-        lam = _mq_tail_prefactor(k.alpha, c)
+        lam = _mq_tail_prefactor(k)
         nu = k.alpha + 0.5
-        gamma = lam * math.pi ** (-k.alpha - 1.0) * math.exp(nu * nu / (2.0 * c * math.pi))
+        gamma = _finite_constant(
+            k, lambda: lam * math.pi ** (-k.alpha - 1.0) * math.exp(nu * nu / (2.0 * c * math.pi))
+        )
         beta = 0.5
-        d_scale = (
-            beta * 2.0 ** (1.0 + k.alpha) / math.gamma(-k.alpha) * c**k.alpha
-            * TWO_PI ** (-k.alpha - 1.0)
+        d_scale = _finite_constant(
+            k,
+            lambda: (
+                beta * 2.0 ** (1.0 + k.alpha) / math.gamma(-k.alpha) * c**k.alpha
+                * TWO_PI ** (-k.alpha - 1.0)
+            ),
         )
         e2 = math.exp(-TWO_PI * c)
         d_lower = d_scale * e2
@@ -158,8 +176,8 @@ def compute_tau(k: Kernel, epsilon: float) -> TruncationPlan:
     # alpha < -1: certified search against an empirical symbol minimum.
     d_lower = 0.5 * _empirical_symbol_min(k)
     ks = np.arange(1, 2001)
-    terms = _phihat_envelope(k.alpha, c, TWO_PI * ks - math.pi) + _phihat_envelope(
-        k.alpha, c, TWO_PI * ks + math.pi
+    terms = _phihat_envelope(k, TWO_PI * ks - math.pi) + _phihat_envelope(
+        k, TWO_PI * ks + math.pi
     )
     suffix = np.cumsum(terms[::-1])[::-1]  # suffix[j] = tail beyond tau = j
     target = epsilon * d_lower
@@ -167,7 +185,7 @@ def compute_tau(k: Kernel, epsilon: float) -> TruncationPlan:
     if ok.size == 0:
         raise UnsupportedKernelError("no admissible tau within search range")
     tau = max(1, int(ok[0]))
-    gamma = _mq_tail_prefactor(k.alpha, c)
+    gamma = _mq_tail_prefactor(k)
     return TruncationPlan(k, epsilon, tau, gamma, d_lower)
 
 
@@ -239,6 +257,73 @@ class CardinalTable:
     def value_at_grid(self, i: int) -> float:
         """Table value at x = i / M, signed index."""
         return float(self.values[i + self.half_width_N * self.oversample_M])
+
+    @cached_property
+    def phase_spectrum(self) -> np.ndarray:
+        """Read-only spectrum of the table's M phases, computed on first use.
+
+        Its length is the one every series with J <= N/2 shares (see
+        :func:`series_samples`); an (L/2 + 1, M) complex array.
+        """
+        spec = _phase_spectrum(self, _phase_length(self, self.half_width_N // 2))
+        spec.setflags(write=False)
+        return spec
+
+
+def _phase_rows(t: CardinalTable) -> int:
+    """Rows R of the padded table laid out as an (R, M) array of phases."""
+    m = t.oversample_M
+    return -(-(t.values.size + 2 * _SERIES_PAD) // m)
+
+
+def _phase_length(t: CardinalTable, half: int) -> int:
+    """FFT length of the phase convolutions for a series with J = ``half``.
+
+    A series with J <= N/2 gets the table's own length, so the table keeps
+    one spectrum for all of them.
+    """
+    return fft.next_fast_len(
+        max(2 * half, 2 * (t.half_width_N // 2)) + _phase_rows(t), real=True
+    )
+
+
+def _phase_spectrum(t: CardinalTable, length: int) -> np.ndarray:
+    m = t.oversample_M
+    phases = np.zeros(_phase_rows(t) * m)
+    phases[_SERIES_PAD : _SERIES_PAD + t.values.size] = t.values
+    return fft.rfft(phases.reshape(-1, m), length, axis=0)
+
+
+def series_samples(t: CardinalTable, coeffs: np.ndarray) -> np.ndarray:
+    """The series ``sum_j coeffs[j] L(y - j)``, j = -J .. J, on the 1/M grid.
+
+    Sample i is the series at ``y = (i - 2) / M - N - J`` (N the table
+    half-width), for ``y`` within ``N + J + 2 / M`` of 0, with L the table
+    extended by zeros.  The table is padded with two zeros on each side, so
+    the two end samples on each side are exactly zero; they are cleared of
+    the FFT's rounding, so that a stencil index clipped to an end reads an
+    exact zero.
+
+    The shifts j are exact steps of M samples on the table grid.  So with
+    the zero-padded table laid out as R rows of M phases, ``T_r[k] =
+    padded[k M + r]``, sample ``q M + r`` is ``sum_j coeffs[j] T_r[q - j]``:
+    M short convolutions of the coefficients, one per phase (the polyphase
+    split of a zero-stuffed convolution).  Each runs as a product of
+    length-L spectra; the table's is its cached ``phase_spectrum`` for
+    J <= N/2, and one computed for this call otherwise.
+    """
+    half = (coeffs.size - 1) // 2
+    length = _phase_length(t, half)
+    if half <= t.half_width_N // 2:
+        spec = t.phase_spectrum
+    else:
+        spec = _phase_spectrum(t, length)
+    size = (2 * half + 2 * t.half_width_N) * t.oversample_M + 2 * _SERIES_PAD + 1
+    conv = fft.irfft(spec * fft.rfft(coeffs, length)[:, None], length, axis=0)
+    conv = conv.ravel()[:size]
+    conv[:_SERIES_PAD] = 0.0
+    conv[-_SERIES_PAD:] = 0.0
+    return conv
 
 
 def _even_spectrum(m: int, q: int, f, at_zero: float) -> np.ndarray:
@@ -448,7 +533,7 @@ def _lagrange(values: np.ndarray, base: np.ndarray, s: np.ndarray, order: int) -
 
 
 def eval_cardinal(t: CardinalTable, x):
-    """Evaluate the tabulated cardinal function at x, |x| <= N.
+    """Evaluate the tabulated cardinal function at finite x, |x| <= N.
 
     Off-grid points use a centered 4-point cubic (or 2-point linear) rule;
     grid points are reproduced exactly.
@@ -457,8 +542,8 @@ def eval_cardinal(t: CardinalTable, x):
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
     n, m = t.half_width_N, t.oversample_M
-    if np.any(np.abs(x_arr) > n + 1e-12):
-        raise OutOfRangeError(f"|x| exceeds table half-width {n}")
+    if not np.all(np.abs(x_arr) <= n + 1e-12):
+        raise OutOfRangeError(f"|x| exceeds table half-width {n}, or x is not finite")
     u = np.clip(x_arr * m + n * m, 0.0, 2.0 * n * m)
     order = t.interp_order
     base = np.clip(np.floor(u).astype(int) - (order // 2 - 1), 0, t.values.size - order)

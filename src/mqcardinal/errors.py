@@ -42,6 +42,10 @@ class BandwidthError(NumericalError):
         self.suggested_m = suggested_m
 
 
+class KernelOverflowError(NumericalError):
+    """A constant of the kernel's transform overflows double precision."""
+
+
 class NumericalConsistencyError(NumericalError):
     """An internal self-check failed (e.g. imaginary residue too large)."""
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import fft, linalg
+from scipy import linalg
 
-from .cardinal import CardinalTable, _lagrange
+from .cardinal import _SERIES_PAD, CardinalTable, _lagrange, series_samples
 from .errors import (
     ConfigError,
     CoverageError,
@@ -54,6 +54,8 @@ class SampleSet:
             raise DomainError("nodes and values must be 1-d arrays of equal length")
         if nodes.size == 0:
             raise DomainError("empty sample set")
+        if not np.all(np.isfinite(nodes)):
+            raise DomainError("nodes must be finite")
         if nodes.size > 1 and np.min(np.diff(nodes)) <= 0:
             raise DomainError("nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
@@ -138,31 +140,23 @@ def eval_uniform(u: UniformInterpolant, x):
     nothing, and probes past every term, or not finite, evaluate to 0.
 
     The shifts j are exact steps of M samples on the table's 1/M grid, so
-    by linearity the series is one convolution of the coefficients, placed
-    every M samples, with the table values, followed by a single Lagrange
-    pass per probe (the gridding-plus-convolution idea of Greengard & Lee,
-    "Accelerating the Nonuniform FFT", SIAM Rev. 2004).  A call costs one
-    FFT convolution plus O(1) per probe, not O(number of terms) per probe.
+    by linearity the series is sampled on that grid first, by
+    :func:`~mqcardinal.cardinal.series_samples`, and then each probe takes
+    one Lagrange stencil of those samples (the gridding-plus-convolution
+    idea of Greengard & Lee, "Accelerating the Nonuniform FFT", SIAM Rev.
+    2004).  The samples are M short convolutions of the coefficients, one
+    per phase of the table, against the table's cached phase spectrum of
+    (L/2 + 1) M complex values, about 125 KB at N_t = 320, M = 16.  A call
+    costs one FFT of the 2J + 1 coefficients, one batched inverse FFT and
+    O(1) per probe, not O(number of terms) per probe.
     """
     t = u.table
-    m, order = t.oversample_M, t.interp_order
-    stuffed = np.zeros(2 * u.half_count * m + 1)
-    stuffed[::m] = u.coeffs
-    padded = np.zeros(t.values.size + 4)
-    padded[2:-2] = t.values
-    size = stuffed.size + padded.size - 1
-    n_fft = fft.next_fast_len(size, real=True)
-    conv = fft.irfft(fft.rfft(stuffed, n_fft) * fft.rfft(padded, n_fft), n_fft)[:size]
-    # The two zeros padded on each side make the two end samples of the
-    # convolution exactly zero; clear the FFT's rounding there, so that every
-    # stencil index outside the array reads an exact zero.
-    conv[:2] = 0.0
-    conv[-2:] = 0.0
-
-    # conv[i] is the series at N x = i / M - N_t - J - 2 / M.
+    order = t.interp_order
+    conv = series_samples(t, u.coeffs)
+    # conv[i] is the series at N x = (i - _SERIES_PAD) / M - N_t - J.
     x_arr = np.asarray(x, dtype=float)
-    pos = (u.N * x_arr + (t.half_width_N + u.half_count)) * m + 2.0
-    pos = np.where(np.isfinite(pos), np.clip(pos, -order, size + order), -order)
+    pos = (u.N * x_arr + (t.half_width_N + u.half_count)) * t.oversample_M + _SERIES_PAD
+    pos = np.where(np.isfinite(pos), np.clip(pos, -order, conv.size + order), -order)
     base = np.floor(pos).astype(int) - (order // 2 - 1)
     out = _lagrange(conv, base, pos - base, order)
     return float(out) if out.ndim == 0 else out

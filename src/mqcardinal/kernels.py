@@ -27,7 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, DivergenceError, SingularityError, UnsupportedKernelError
+from .errors import (
+    DivergenceError,
+    DomainError,
+    KernelOverflowError,
+    SingularityError,
+    UnsupportedKernelError,
+)
 
 MULTIQUADRIC = "multiquadric"
 POISSON = "poisson"
@@ -173,8 +179,30 @@ def kernel_spatial(k: Kernel, x):
     return out if out.ndim else float(out)
 
 
-def _mq_fourier_prefactor(alpha: float) -> float:
-    return math.sqrt(2.0 * math.pi) * 2.0 ** (1.0 + alpha) / math.gamma(-alpha)
+def _finite_constant(k: Kernel, compute) -> float:
+    """``compute()``, a constant of the multiquadric's transform, if finite.
+
+    ``math.gamma`` and ``**`` raise OverflowError past double precision,
+    and a product of finite floats rounds to inf; either raises
+    KernelOverflowError instead.
+    """
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise KernelOverflowError(
+            f"a transform constant of the multiquadric alpha={k.alpha:g}, c={k.c:g} "
+            "overflows double precision; use a larger c or an alpha nearer 0 "
+            "(Gamma(-alpha) overflows for alpha < -171)"
+        )
+    return value
+
+
+def _mq_fourier_prefactor(k: Kernel) -> float:
+    return _finite_constant(
+        k, lambda: math.sqrt(2.0 * math.pi) * 2.0 ** (1.0 + k.alpha) / math.gamma(-k.alpha)
+    )
 
 
 def kernel_fourier(k: Kernel, xi):
@@ -203,7 +231,7 @@ def kernel_fourier(k: Kernel, xi):
         absxi = np.abs(xi_arr)
         nu = k.bessel_order
         out = (
-            _mq_fourier_prefactor(k.alpha)
+            _mq_fourier_prefactor(k)
             * (k.c / absxi) ** (k.alpha + 0.5)
             * bessel_k(nu, k.c * absxi)
         )
@@ -222,9 +250,12 @@ def kernel_fourier_at_zero(k: Kernel) -> float:
         raise DivergenceError(
             f"transform of multiquadric with alpha={k.alpha} diverges at xi = 0"
         )
-    return (
-        math.sqrt(math.pi)
-        * math.gamma(-k.alpha - 0.5)
-        / math.gamma(-k.alpha)
-        * k.c ** (2.0 * k.alpha + 1.0)
+    return _finite_constant(
+        k,
+        lambda: (
+            math.sqrt(math.pi)
+            * math.gamma(-k.alpha - 0.5)
+            / math.gamma(-k.alpha)
+            * k.c ** (2.0 * k.alpha + 1.0)
+        ),
     )

@@ -6,6 +6,7 @@ generic parameters.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from mqcardinal import cardinal
 from mqcardinal.errors import (
     BandwidthError,
     DomainError,
+    KernelOverflowError,
     NumericalError,
     OutOfRangeError,
     SingularityError,
@@ -59,6 +61,16 @@ class TestComputeTau:
         for bad in (0.0, 1.0, 2.0, -1e-3):
             with pytest.raises(DomainError):
                 mq.compute_tau(mq.poisson(1.0), bad)
+
+    @pytest.mark.parametrize("alpha, c", [(-200.0, 1.0), (-3.0, 1e-120), (-0.75, 1e-5)])
+    def test_overflowing_constants_are_typed(self, alpha, c):
+        # Gamma(200) overflows, 1e-120 ** -5 overflows, exp(1 / (32 pi 1e-5))
+        # overflows: each is a numerical failure with a hint, not a bare
+        # OverflowError.
+        k = mq.multiquadric(alpha, c)
+        with pytest.raises(KernelOverflowError, match="larger c") as exc:
+            mq.compute_tau(k, 1e-10)
+        assert isinstance(exc.value, NumericalError)
 
     def test_unsupported_alpha(self):
         with pytest.raises(UnsupportedKernelError):
@@ -339,6 +351,16 @@ class TestCardinalTable:
         t = mq.build_cardinal_table(mq.poisson(1.0), 1e-8, 8, 8)
         with pytest.raises(OutOfRangeError):
             mq.eval_cardinal(t, 8.5)
+
+    def test_non_finite_is_out_of_range(self):
+        # abs(nan) > N is False, so NaN must be caught on its own, before the
+        # integer cast that would warn.
+        t = mq.build_cardinal_table(mq.poisson(1.0), 1e-8, 8, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (np.nan, np.array([0.0, np.nan]), np.inf, np.array([-np.inf, 0.5])):
+                with pytest.raises(OutOfRangeError):
+                    mq.eval_cardinal(t, x)
 
     def test_bandwidth_error_suggests_m(self):
         with pytest.raises(BandwidthError) as exc:

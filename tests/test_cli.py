@@ -32,6 +32,15 @@ class TestTau:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("alpha, c", [("-200", "1"), ("-3", "1e-120")])
+    def test_overflowing_kernel_is_numerical_failure(self, capsys, alpha, c):
+        code, _, err = run_cli(
+            capsys, "tau", "--family=multiquadric", f"--alpha={alpha}", f"--c={c}",
+            "--eps=1e-10",
+        )
+        assert code == 1
+        assert "numerical failure" in err and "overflows" in err
+
     def test_multiquadric_needs_alpha(self, capsys):
         code, _, err = run_cli(capsys, "tau", "--family", "multiquadric")
         assert code == 2

@@ -1,5 +1,6 @@
 """Uniform (cardinal-series) and Gram-system interpolant tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -33,6 +34,13 @@ class TestSampleSet:
             mq.SampleSet(np.array([]), np.array([]))
         with pytest.raises(DomainError):
             mq.SampleSet(np.zeros(3), np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_nodes(self, bad):
+        # NaN slips past the ordering check, since comparisons with it are False.
+        for nodes in ([0.0, bad, 1.0], [0.0, 1.0, bad], [bad, 0.0, 1.0], [bad]):
+            with pytest.raises(DomainError, match="finite"):
+                mq.SampleSet(np.array(nodes), np.zeros(len(nodes)))
 
     def test_separation(self):
         s = mq.SampleSet(np.array([0.0, 0.25, 1.0]), np.zeros(3))
@@ -162,6 +170,67 @@ class TestSeriesEdgeRule:
             np.testing.assert_array_equal(evaluate(u, beyond), 0.0)
             assert evaluate(u, np.nan) == 0.0
         np.testing.assert_array_equal(_dense_series(u, beyond), 0.0)
+
+
+class TestPhaseSpectrum:
+    """The table's cached spectrum of its M phases."""
+
+    @pytest.fixture()
+    def table(self):
+        return mq.build_cardinal_table(mq.poisson(1.0), 1e-12, 32, 16)
+
+    def test_computed_once_and_read_only(self, table):
+        assert "phase_spectrum" not in vars(table)  # a build computes none
+        rng = np.random.default_rng(1)
+        x = rng.uniform(-1.0, 1.0, 64)
+        mq.eval_uniform(mq.cardinal_series(rng.standard_normal(9), 4, table), x)
+        spec = vars(table)["phase_spectrum"]
+        assert spec.shape[1] == table.oversample_M
+        assert not spec.flags.writeable
+        with pytest.raises(ValueError):
+            spec[0, 0] = 0.0
+        # Every series with J <= N_t / 2 reads the same array.
+        for j in (0, 7, table.half_width_N // 2):
+            u = mq.cardinal_series(rng.standard_normal(2 * j + 1), max(j, 1), table)
+            np.testing.assert_allclose(mq.eval_uniform(u, x), _dense_series(u, x),
+                                       rtol=0, atol=1e-13 * np.sum(np.abs(u.coeffs)))
+            mq.scaled_eval(u, x)
+            assert table.phase_spectrum is spec
+
+    def test_long_series_leaves_the_cache_alone(self, table):
+        rng = np.random.default_rng(2)
+        short = mq.cardinal_series(rng.standard_normal(5), 2, table)
+        mq.eval_uniform(short, 0.1)
+        spec = table.phase_spectrum
+        before = spec.copy()
+        # J = 20 > N_t / 2 = 16, with every stencil inside the table:
+        # N |x| + J + 2 / M < N_t.
+        j = 20
+        u = mq.cardinal_series(rng.standard_normal(2 * j + 1), j, table)
+        x = rng.uniform(-0.5, 0.5, 64)
+        tol = 1e-13 * np.sum(np.abs(u.coeffs))
+        for evaluate in (mq.eval_uniform, mq.scaled_eval):
+            np.testing.assert_allclose(evaluate(u, x), _dense_series(u, x), rtol=0, atol=tol)
+        assert table.phase_spectrum is spec
+        np.testing.assert_array_equal(spec, before)
+
+    def test_round_trip_and_equality(self, table, tmp_path):
+        rng = np.random.default_rng(3)
+        u = mq.cardinal_series(rng.standard_normal(17), 8, table)
+        x = rng.uniform(-1.0, 1.0, 32)
+        same = dataclasses.replace(table)
+        assert table == same
+        want = mq.eval_uniform(u, x)  # caches the spectrum on table only
+        assert table == same and "phase_spectrum" not in vars(same)
+        path = tmp_path / "table.txt"
+        mq.save_table(table, path)
+        back = mq.load_table(path)
+        assert "phase_spectrum" not in vars(back)
+        np.testing.assert_array_equal(back.values, table.values)
+        assert back.kernel == table.kernel and back.epsilon == table.epsilon
+        got = mq.eval_uniform(mq.cardinal_series(u.coeffs, u.N, back), x)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(back.phase_spectrum, table.phase_spectrum)
 
 
 class TestGram:

@@ -13,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mqcardinal as mq
-from mqcardinal.errors import DivergenceError, DomainError, SingularityError, UnsupportedKernelError
+from mqcardinal.errors import (
+    DivergenceError,
+    DomainError,
+    KernelOverflowError,
+    SingularityError,
+    UnsupportedKernelError,
+)
 
 # Frozen values of K_nu(r) from the defining integral (50-digit mpmath
 # quadrature, rounded to double precision).
@@ -172,6 +178,15 @@ class TestFourierTransforms:
         assert mq.kernel_fourier(k, 1e-8) == pytest.approx(
             mq.kernel_fourier_at_zero(k), rel=2e-4
         )
+
+    @pytest.mark.parametrize("alpha, c", [(-200.0, 1.0), (-3.0, 1e-120)])
+    def test_overflowing_constants_are_typed(self, alpha, c):
+        k = mq.multiquadric(alpha, c)
+        with pytest.raises(KernelOverflowError, match="alpha=.*c="):
+            mq.kernel_fourier_at_zero(k)
+        if alpha == -200.0:  # Gamma(200) in the transform's prefactor
+            with pytest.raises(KernelOverflowError):
+                mq.kernel_fourier(k, 1.0)
 
     def test_divergent_at_zero(self):
         with pytest.raises(DivergenceError):
