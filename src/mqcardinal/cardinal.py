@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy import fft
@@ -24,15 +24,15 @@ from .errors import (
     DomainError,
     NumericalConsistencyError,
     OutOfRangeError,
-    SingularityError,
     UnsupportedKernelError,
 )
 from .kernels import (
     GAUSSIAN,
     Kernel,
+    _exp_transform,
     _finite_constant,
     kernel_fourier,
-    kernel_fourier_at_zero,
+    log_kernel_fourier,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -43,11 +43,15 @@ TWO_PI = 2.0 * math.pi
 _MIN_PERIOD = 2048
 _PERIOD_FACTOR = 8
 # Spare complex values at the end of each row of the table build's (M, Q)
-# spectrum array; see _even_spectrum.
+# spectrum array; see _half_spectrum.
 _ROW_PAD = 8
 # Zeros on each side of the table in the cardinal series convolution; see
 # series_samples.
 _SERIES_PAD = 2
+# Log of the smallest normal double.  The table build sends log values
+# below it to -inf before its one exp: numpy's exp is about 100 times
+# slower on an input whose result is subnormal.
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -85,22 +89,15 @@ def _phihat_envelope(k: Kernel, r) -> np.ndarray:
     return lam * r ** (-alpha - 1.0) * np.exp(-c * r + nu * nu / (2.0 * c * r))
 
 
-def _symbol_terms(k: Kernel, tau: int, xi_star: np.ndarray) -> np.ndarray:
-    """Symbol truncated to shifts |j| <= tau, on an array of reduced frequencies.
+def _symbol_terms(k: Kernel, tau: int, xi_star: np.ndarray, log_scale=0.0) -> np.ndarray:
+    """Symbol truncated to shifts |j| <= tau, on an array of reduced
+    frequencies, with every term divided by ``exp(log_scale)``.
 
-    One transform call covers the whole (2 tau + 1, P) shift grid; the rows are
-    then added in the order j = -tau .. tau.
+    One transform call covers the whole (2 tau + 1, ...) shift grid; the
+    rows are then added in the order j = -tau .. tau.
     """
-    args = xi_star[None, :] + TWO_PI * np.arange(-tau, tau + 1)[:, None]
-    vals = np.empty_like(args)
-    nz = args != 0.0
-    if not np.all(nz):
-        if k.family != GAUSSIAN and k.alpha >= -0.5:
-            raise SingularityError(
-                "periodized symbol hits the non-integrable xi = 0 singularity"
-            )
-        vals[~nz] = kernel_fourier_at_zero(k)
-    vals[nz] = kernel_fourier(k, args[nz])
+    args = np.add.outer(TWO_PI * np.arange(-tau, tau + 1), xi_star)
+    vals = _exp_transform(k, log_kernel_fourier(k, args) - log_scale)
     total = np.zeros_like(xi_star)
     for row in vals:
         total += row
@@ -189,18 +186,22 @@ def compute_tau(k: Kernel, epsilon: float) -> TruncationPlan:
     return TruncationPlan(k, epsilon, tau, gamma, d_lower)
 
 
-def reduce_frequency(xi: float) -> float:
-    """Map xi to its 2 pi-periodic representative in (-pi, pi]."""
-    r = xi - TWO_PI * math.floor(xi / TWO_PI + 0.5)
-    if r <= -math.pi:
-        r += TWO_PI
-    return r
+def _float_or_array(out: np.ndarray):
+    return float(out) if out.ndim == 0 else out
 
 
-def periodized_symbol(plan: TruncationPlan, xi: float) -> float:
-    """Truncated 2 pi-periodization S_tau(xi) of the kernel transform."""
-    xi_star = np.array([reduce_frequency(float(xi))])
-    return float(_symbol_terms(plan.kernel, plan.tau, xi_star)[0])
+def reduce_frequency(xi):
+    """Map xi (scalar or array) to its 2 pi-periodic representative in (-pi, pi]."""
+    xi = np.asarray(xi, dtype=float)
+    r = xi - TWO_PI * np.floor(xi / TWO_PI + 0.5)
+    return _float_or_array(np.where(r <= -math.pi, r + TWO_PI, r))
+
+
+def periodized_symbol(plan: TruncationPlan, xi):
+    """Truncated 2 pi-periodization S_tau(xi) of the kernel transform, at
+    scalar or array xi."""
+    xi_star = np.asarray(reduce_frequency(xi))
+    return _float_or_array(_symbol_terms(plan.kernel, plan.tau, xi_star))
 
 
 def periodized_symbol_lower_bound(plan: TruncationPlan) -> float:
@@ -217,20 +218,29 @@ def periodized_symbol_lower_bound(plan: TruncationPlan) -> float:
     return plan.d_lower * math.exp(-4.0 * math.pi * k.c)
 
 
-def cardinal_hat(plan: TruncationPlan, xi: float) -> float:
-    """Fourier transform of the cardinal function: phihat(xi) / S_tau(xi)."""
+def cardinal_hat(plan: TruncationPlan, xi):
+    """Fourier transform of the cardinal function, phihat(xi) / S_tau(xi),
+    at scalar or array xi.
+
+    Numerator and symbol are both scaled by the symbol's largest term,
+    ``phihat(xi*)``: ``exp(log phihat(xi) - log phihat(xi*))`` over
+    ``sum_j exp(log phihat(xi* + 2 pi j) - log phihat(xi*))``.  So the ratio
+    stays finite where phihat and S both underflow, and far from the
+    origin it rounds to 0 instead of overflowing.
+    """
     k = plan.kernel
-    xi = float(xi)
-    xi_star = reduce_frequency(xi)
-    if xi_star == 0.0 and k.family != GAUSSIAN and -0.5 <= k.alpha < 0.0:
-        # Removable limit: phihat blows up at the lattice point itself.
-        return 1.0 if xi == 0.0 else 0.0
-    s = periodized_symbol(plan, xi)
-    if xi == 0.0:
-        num = kernel_fourier_at_zero(k)
-    else:
-        num = kernel_fourier(k, xi)
-    return num / s
+    xi = np.asarray(xi, dtype=float)
+    xi_star = np.asarray(reduce_frequency(xi))
+    # phihat blows up at the lattice points of a multiquadric with
+    # alpha >= -1/2 (alpha is nan for the gaussian); there Lhat is the
+    # removable limit, 1 at xi = 0 and 0 at the others.
+    out = np.array(xi == 0.0, dtype=float)
+    rest = (xi_star != 0.0) if -0.5 <= k.alpha < 0.0 else np.full(xi.shape, True)
+    top = log_kernel_fourier(k, xi_star[rest])
+    out[rest] = np.exp(log_kernel_fourier(k, xi[rest]) - top) / _symbol_terms(
+        k, plan.tau, xi_star[rest], top
+    )
+    return _float_or_array(out)
 
 
 @dataclass(frozen=True)
@@ -326,11 +336,11 @@ def series_samples(t: CardinalTable, coeffs: np.ndarray) -> np.ndarray:
     return conv
 
 
-def _even_spectrum(m: int, q: int, f, at_zero: float) -> np.ndarray:
-    """Even real spectrum in FFT order, as a complex (M, Q) array.
+def _half_spectrum(m: int, q: int, f) -> np.ndarray:
+    """First half of an even real spectrum in FFT order, a complex (M, Q) array.
 
-    Flat slots i and p - i (p = M Q) both hold ``f(2 pi i / Q)`` for
-    i = 1 .. p/2, slot 0 holds ``at_zero``, and the imaginary part is zero.
+    Flat slots i = 0 .. p/2 (p = M Q) hold ``f(2 pi i / Q)``; the others,
+    and the imaginary part, are zero until :func:`_mirror_half` fills them.
     ``f`` is called on one row of Q frequencies at a time, so the array
     itself is the only large allocation.  The array is a view whose rows
     lie ``Q + _ROW_PAD`` values apart: with rows exactly Q values apart,
@@ -339,20 +349,25 @@ def _even_spectrum(m: int, q: int, f, at_zero: float) -> np.ndarray:
     by an amount that depends on where the array lands in memory.
     """
     out = np.zeros((m, q + _ROW_PAD), dtype=complex)[:, :q]
-    spec = out.real
-    spec[0, 0] = at_zero
     half = m * q // 2
     for r in range(half // q + 1):
-        c0, c1 = (1 if r == 0 else 0), min(q, half + 1 - r * q)
-        vals = f((r * q + np.arange(c0, c1)) * (TWO_PI / q))
-        spec[r, c0:c1] = vals
-        # Slot r Q + c mirrors to (M - 1 - r, Q - c) for c >= 1 and to
-        # (M - r, 0) for c = 0.
-        lo = max(c0, 1)
-        spec[m - 1 - r, q - c1 + 1 : q - lo + 1] = vals[lo - c0 :][::-1]
-        if c0 == 0:
-            spec[m - r, 0] = vals[0]
+        c1 = min(q, half + 1 - r * q)
+        out.real[r, :c1] = f((r * q + np.arange(c1)) * (TWO_PI / q))
     return out
+
+
+def _mirror_half(spec: np.ndarray) -> None:
+    """Make the flat form of the real (M, Q) array even, in place: slot
+    p - i takes the value of slot i, for i = 1 .. p/2 (p = M Q)."""
+    m, q = spec.shape
+    half = m * q // 2
+    for r in range(half // q + 1):
+        c1 = min(q, half + 1 - r * q)
+        # Slot r Q + c mirrors to (M - 1 - r, Q - c) for c >= 1 and to
+        # (M - r, 0) for c = 0 (slot 0 is its own mirror).
+        spec[m - 1 - r, q - c1 + 1 :] = spec[r, c1 - 1 : 0 : -1]
+        if r:
+            spec[m - r, 0] = spec[r, 0]
 
 
 def _mirror_residues(half: np.ndarray) -> np.ndarray:
@@ -364,7 +379,7 @@ def _mirror_residues(half: np.ndarray) -> np.ndarray:
 def _symbol_rows(spec: np.ndarray, tau: int, f) -> np.ndarray:
     """Rows 0 .. tau of the spectrum: ``f(2 pi (r + s / Q))`` in row r, column s.
 
-    ``_even_spectrum`` holds them whole for r < M//2; any rows from M//2 up
+    ``_half_spectrum`` holds them whole for r < M//2; any rows from M//2 up
     to tau are evaluated here.
     """
     m, q = spec.shape
@@ -473,33 +488,25 @@ def build_cardinal_table(
 
     # Lhat on xi = 2 pi m / Q, m in FFT order (p = Q M), laid out as an
     # (M, Q) array: column s holds the slots of symbol residue s.  Every
-    # family's transform depends on |xi| only, so it is evaluated for
-    # m <= p/2 and mirrored.  The symbol is folded from the same values.
-    if k.family == GAUSSIAN:
-        # Log of phihat up to a constant, which cancels in phihat/S.
-        f, at_zero = (lambda xi: -xi * xi / (4.0 * k.lam)), 0.0
-    else:
-        f, at_zero = (lambda xi: kernel_fourier(k, xi)), kernel_fourier_at_zero(k)
-    lhat = _even_spectrum(M, q, f, at_zero)
+    # family's transform depends on |xi| only, so Lhat is formed for
+    # m <= p/2, in the first M//2 + 1 rows, and then mirrored.  The symbol
+    # is folded from the same values.  phihat/S is formed in log space:
+    # for wide kernels both numerator and denominator underflow while
+    # their ratio is order one.
+    f = partial(log_kernel_fourier, k)
+    lhat = _half_spectrum(M, q, f)
     spec = lhat.real
-    rows = _symbol_rows(spec, plan.tau, f)
-    if k.family == GAUSSIAN:
-        # Form phihat/S in log space: for flat gaussians both numerator and
-        # denominator underflow while their ratio is order one.
-        spec -= _log_fold_symbol(rows)
-        np.exp(spec, out=spec)
-    else:
-        s_res = _fold_symbol(rows)
-        if np.min(s_res) <= 0.0:
-            raise NumericalConsistencyError(
-                "periodized symbol underflowed to zero; kernel too flat for this grid"
-            )
-        spec /= s_res
+    head = spec[: M // 2 + 1]
+    head[-1, M * q // 2 - (M // 2) * q + 1 :] = -np.inf  # slots past p/2
+    head -= _log_fold_symbol(_symbol_rows(spec, plan.tau, f))
+    head[head < _LOG_TINY] = -np.inf
+    np.exp(head, out=head)
+    _mirror_half(spec)
 
     vals = _ifft_even(lhat)
     imag = vals.imag
     imag_max = max(float(imag.max()), -float(imag.min()))
-    if imag_max > 1e-10:
+    if not imag_max <= 1e-10:
         raise NumericalConsistencyError(
             f"imaginary residue {imag_max:.3g} exceeds 1e-10 after inverse FFT"
         )

@@ -43,7 +43,7 @@ class BandwidthError(NumericalError):
 
 
 class KernelOverflowError(NumericalError):
-    """A constant of the kernel's transform overflows double precision."""
+    """A constant or a value of the kernel's transform overflows double precision."""
 
 
 class NumericalConsistencyError(NumericalError):

@@ -28,7 +28,7 @@ from .errors import (
     IllConditionedError,
 )
 from .kernels import GAUSSIAN, Kernel, _kernel_spatial_inplace
-from .sampling import _read_columns
+from .sampling import _check_nodes, _read_columns, _separation
 
 _GRAM_MAX_NODES = 4096
 _COND_MAX_NODES = 2048
@@ -54,18 +54,13 @@ class SampleSet:
             raise DomainError("nodes and values must be 1-d arrays of equal length")
         if nodes.size == 0:
             raise DomainError("empty sample set")
-        if not np.all(np.isfinite(nodes)):
-            raise DomainError("nodes must be finite")
-        if nodes.size > 1 and np.min(np.diff(nodes)) <= 0:
-            raise DomainError("nodes must be strictly increasing")
+        _check_nodes(nodes)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
 
     @property
     def separation(self) -> float:
-        if self.nodes.size < 2:
-            return float("inf")
-        return float(np.min(np.diff(self.nodes)))
+        return _separation(self.nodes)
 
     @classmethod
     def from_file(cls, path) -> "SampleSet":

@@ -14,9 +14,13 @@ so the generic multiquadric transform is
     sqrt(2 pi) * 2^(1+alpha)/Gamma(-alpha) * (c/|xi|)^(alpha+1/2)
         * K_{alpha+1/2}(c |xi|)
 
-with K the modified Bessel function of the second kind.  All functions in
-this module are pure and accept scalars or numpy arrays for the evaluation
-variable.
+with K the modified Bessel function of the second kind.  Each family's
+transform is written once, as its logarithm, in :func:`log_kernel_fourier`;
+:func:`kernel_fourier` is its exp and :func:`kernel_fourier_at_zero` its
+value at xi = 0.  The log does not underflow where the transform does, so
+the cardinal layer divides by the periodized symbol in log space.  All
+functions in this module are pure and accept scalars or numpy arrays for
+the evaluation variable.
 """
 
 from __future__ import annotations
@@ -100,7 +104,7 @@ def _check_r(r):
 
 
 # Integer and half-integer orders up to this one run an upward recurrence,
-# one step per order; higher ones go to kv, so an order like 1e20 cannot stall.
+# one step per order; higher ones go to kve, so an order like 1e20 cannot stall.
 _MAX_RECURRENCE_ORDER = 64
 
 
@@ -113,37 +117,46 @@ def _k_upward(order: float, k_lo, k_hi, r: np.ndarray, steps: int):
     return k_hi
 
 
-def bessel_k(nu: float, r):
-    """Modified Bessel function of the second kind K_nu(r) for r > 0.
+def _bessel_ke(nu: float, r: np.ndarray) -> np.ndarray:
+    """Exponentially scaled e^r K_nu(r) on an array of r > 0.
 
     Symmetric in the order (K_nu = K_{-nu}).  Half-integer orders up to
     ``_MAX_RECURRENCE_ORDER`` use the closed elementary form
-    K_{1/2}(r) = sqrt(pi/(2r)) e^{-r}, integer ones Cephes' k0 and k1, each
-    carried up by the recurrence; other orders defer to scipy's kv (AMOS).
-    At integer orders kv is slower and its relative error reaches ~5e-14,
-    against ~7e-16 for the recurrence.
+    e^r K_{1/2}(r) = sqrt(pi/(2r)), integer ones Cephes' k0e and k1e, each
+    carried up by the recurrence (it is linear, so it carries the scaled
+    values too); other orders defer to scipy's kve (AMOS).  At integer
+    orders kve is slower and its relative error reaches ~5e-14, against
+    ~7e-16 for the recurrence.
     """
-    if not np.isfinite(nu):
-        raise DomainError("bessel_k requires a finite order")
-    r_arr = _check_r(r)
     nu = abs(float(nu))
     if nu < np.finfo(float).tiny:
-        # scipy's kv returns inf/nan for subnormal orders; K is continuous
+        # scipy's kve returns inf/nan for subnormal orders; K is continuous
         # in the order, so flushing to zero is exact to double precision.
         nu = 0.0
     n = round(nu)
     half = abs(nu - round(nu - 0.5) - 0.5) < 1e-15
     if nu > _MAX_RECURRENCE_ORDER or not (half or abs(nu - n) < 1e-15):
-        out = special.kv(nu, r_arr)
-    elif half:
-        k_half = np.sqrt(np.pi / (2.0 * r_arr)) * np.exp(-r_arr)  # K_{-1/2} = K_{1/2}
-        out = _k_upward(0.5, k_half, k_half, r_arr, int(round(nu - 0.5)))
-    elif n == 0:
-        out = special.k0(r_arr)
-    elif n == 1:
-        out = special.k1(r_arr)
-    else:
-        out = _k_upward(1.0, special.k0(r_arr), special.k1(r_arr), r_arr, n - 1)
+        return special.kve(nu, r)
+    if half:
+        k_half = np.sqrt(np.pi / (2.0 * r))  # K_{-1/2} = K_{1/2}
+        return _k_upward(0.5, k_half, k_half, r, int(round(nu - 0.5)))
+    if n == 0:
+        return special.k0e(r)
+    if n == 1:
+        return special.k1e(r)
+    return _k_upward(1.0, special.k0e(r), special.k1e(r), r, n - 1)
+
+
+def bessel_k(nu: float, r):
+    """Modified Bessel function of the second kind K_nu(r) for r > 0.
+
+    Computed as ``e^r K_nu(r) * e^-r``, so it stays nonzero wherever K is a
+    normal double (scipy's kv(0.25, 700) is 0; K_0.25(700) is 4.67e-306).
+    """
+    if not np.isfinite(nu):
+        raise DomainError("bessel_k requires a finite order")
+    r_arr = _check_r(r)
+    out = _bessel_ke(nu, r_arr) * np.exp(-r_arr)
     return out if np.ndim(r) else float(out)
 
 
@@ -179,6 +192,14 @@ def kernel_spatial(k: Kernel, x):
     return out if out.ndim else float(out)
 
 
+def _overflow_error(k: Kernel, what: str) -> KernelOverflowError:
+    return KernelOverflowError(
+        f"{what} of the multiquadric alpha={k.alpha:g}, c={k.c:g} "
+        "overflows double precision; use a larger c or an alpha nearer 0 "
+        "(Gamma(-alpha) overflows for alpha < -171)"
+    )
+
+
 def _finite_constant(k: Kernel, compute) -> float:
     """``compute()``, a constant of the multiquadric's transform, if finite.
 
@@ -191,51 +212,71 @@ def _finite_constant(k: Kernel, compute) -> float:
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise KernelOverflowError(
-            f"a transform constant of the multiquadric alpha={k.alpha:g}, c={k.c:g} "
-            "overflows double precision; use a larger c or an alpha nearer 0 "
-            "(Gamma(-alpha) overflows for alpha < -171)"
-        )
+        raise _overflow_error(k, "a transform constant")
     return value
 
 
-def _mq_fourier_prefactor(k: Kernel) -> float:
-    return _finite_constant(
-        k, lambda: math.sqrt(2.0 * math.pi) * 2.0 ** (1.0 + k.alpha) / math.gamma(-k.alpha)
-    )
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
-def kernel_fourier(k: Kernel, xi):
-    """Fourier transform of the kernel at frequency xi.
+def log_kernel_fourier(k: Kernel, xi):
+    """Natural log of the kernel's Fourier transform at frequency xi.
 
-    The generic multiquadric branch is singular at xi = 0 when
-    alpha >= -1/2; use :func:`kernel_fourier_at_zero` for the removable
-    alpha < -1/2 limit.
+    Every family's transform formula lives here.  The log stays finite
+    where the transform itself underflows, so the cardinal layer divides
+    by the periodized symbol in log space.  At xi = 0 it is the removable
+    limit, which exists for the gaussian, the poisson kernel and the
+    multiquadric with alpha < -1/2; a multiquadric with alpha >= -1/2
+    raises SingularityError there.
     """
-    xi_arr = np.asarray(xi, dtype=float)
-    scalar = xi_arr.ndim == 0
+    absxi = np.abs(np.asarray(xi, dtype=float))
     if k.family == GAUSSIAN:
-        out = np.sqrt(np.pi / k.lam) * np.exp(-xi_arr * xi_arr / (4.0 * k.lam))
+        out = 0.5 * math.log(math.pi / k.lam) - absxi * absxi / (4.0 * k.lam)
     elif k.family == POISSON:
-        out = (np.pi / k.c) * np.exp(-k.c * np.abs(xi_arr))
+        out = math.log(math.pi / k.c) - k.c * absxi
     else:
         if k.alpha >= 0:
             raise UnsupportedKernelError(
                 "Fourier transform of a growing multiquadric is distributional"
             )
-        if np.any(xi_arr == 0.0):
-            raise SingularityError(
-                "multiquadric transform is singular at xi = 0; "
-                "use kernel_fourier_at_zero for alpha < -1/2"
-            )
-        absxi = np.abs(xi_arr)
         nu = k.bessel_order
-        out = (
-            _mq_fourier_prefactor(k)
-            * (k.c / absxi) ** (k.alpha + 0.5)
-            * bessel_k(nu, k.c * absxi)
-        )
-    return float(out) if scalar else out
+        at_zero = absxi == 0.0
+        if nu >= 0.0 and np.any(at_zero):
+            raise SingularityError(
+                "multiquadric transform is singular at xi = 0 for alpha >= -1/2"
+            )
+        log_pref = math.log(_finite_constant(
+            k, lambda: math.sqrt(2.0 * math.pi) * 2.0 ** (1.0 + k.alpha) / math.gamma(-k.alpha)
+        ))
+        # xi = 0 gives nan here, replaced below; a K that overflows at tiny
+        # c|xi| gives +inf, which _exp_transform types.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = k.c * absxi
+            out = log_pref + nu * np.log(k.c / absxi) + np.log(_bessel_ke(nu, r)) - r
+        if np.any(at_zero):
+            # K_|nu|(r) ~ Gamma(|nu|) 2^(|nu| - 1) r^(-|nu|) as r -> 0.
+            limit = (log_pref + math.lgamma(-nu) + (-nu - 1.0) * math.log(2.0)
+                     + 2.0 * nu * math.log(k.c))
+            out = np.where(at_zero, limit, out)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _exp_transform(k: Kernel, log_vals):
+    """``exp(log_vals)``; KernelOverflowError where a value passes double
+    precision."""
+    if np.any(log_vals > _LOG_MAX):
+        raise _overflow_error(k, "the transform")
+    return np.exp(log_vals)
+
+
+def kernel_fourier(k: Kernel, xi):
+    """Fourier transform of the kernel at frequency xi.
+
+    The exp of :func:`log_kernel_fourier`; a value past double precision
+    raises KernelOverflowError.
+    """
+    out = _exp_transform(k, log_kernel_fourier(k, xi))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def kernel_fourier_at_zero(k: Kernel) -> float:
@@ -244,18 +285,8 @@ def kernel_fourier_at_zero(k: Kernel) -> float:
     Finite exactly when the kernel is integrable: gaussian, poisson, or
     multiquadric with alpha < -1/2.
     """
-    if k.family == GAUSSIAN:
-        return math.sqrt(math.pi / k.lam)
-    if k.alpha >= -0.5:
+    if k.alpha >= -0.5:  # alpha is nan for the gaussian
         raise DivergenceError(
             f"transform of multiquadric with alpha={k.alpha} diverges at xi = 0"
         )
-    return _finite_constant(
-        k,
-        lambda: (
-            math.sqrt(math.pi)
-            * math.gamma(-k.alpha - 0.5)
-            / math.gamma(-k.alpha)
-            * k.c ** (2.0 * k.alpha + 1.0)
-        ),
-    )
+    return kernel_fourier(k, 0.0)

@@ -52,6 +52,20 @@ def _read_columns(path, ncols: int) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, ncols)
 
 
+def _separation(nodes: np.ndarray) -> float:
+    """Smallest gap between consecutive nodes; inf for fewer than two."""
+    return float(np.min(np.diff(nodes))) if nodes.size > 1 else float("inf")
+
+
+def _check_nodes(nodes: np.ndarray) -> None:
+    """Raise DomainError unless the nodes are finite and strictly increasing
+    (finiteness first: a NaN gap would pass the ordering test)."""
+    if not np.all(np.isfinite(nodes)):
+        raise DomainError("nodes must be finite")
+    if _separation(nodes) <= 0:
+        raise DomainError("nodes must be strictly increasing")
+
+
 def _rng(seed: int) -> np.random.Generator:
     # Counter-based generator: identical streams on every platform.
     return np.random.Generator(np.random.Philox(int(seed)))
@@ -67,8 +81,7 @@ class NodeSequence:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size % 2 == 0:
             raise DomainError("node section must be 1-d with odd length")
-        if nodes.size > 1 and np.min(np.diff(nodes)) <= 0:
-            raise DomainError("nodes must be strictly increasing")
+        _check_nodes(nodes)
         object.__setattr__(self, "nodes", nodes)
 
     @property
@@ -77,9 +90,7 @@ class NodeSequence:
 
     @property
     def separation(self) -> float:
-        if self.nodes.size < 2:
-            return float("inf")
-        return float(np.min(np.diff(self.nodes)))
+        return _separation(self.nodes)
 
     @property
     def indices(self) -> np.ndarray:
@@ -215,7 +226,7 @@ def apply_jitter(ns: NodeSequence, spec: JitterSpec) -> NodeSequence:
     """Perturb the nodes by spec; strict monotonicity must survive."""
     eps = jitter_offsets(spec, ns.nodes.size)
     moved = ns.nodes + eps
-    if moved.size > 1 and np.min(np.diff(moved)) <= 0:
+    if _separation(moved) <= 0:
         raise JitterTooLargeError(
             f"jitter magnitude {spec.magnitude:g} destroys monotonicity "
             f"(min spacing {ns.separation:g})"

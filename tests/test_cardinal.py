@@ -17,10 +17,11 @@ from scipy import special
 import mqcardinal as mq
 from mqcardinal.cardinal import (
     TWO_PI,
-    _even_spectrum,
     _fold_symbol,
+    _half_spectrum,
     _ifft_even,
     _log_fold_symbol,
+    _mirror_half,
     _symbol_rows,
     _symbol_terms,
     periodized_symbol_lower_bound,
@@ -133,14 +134,14 @@ class TestComputeTau:
         assert np.max(np.abs(t.values[::16] - delta)) <= 1e-11
 
     def test_intermediate_alpha_very_wide_kernel_is_typed(self):
-        # cosh(1000 pi) overflows; the result is a table or a typed error.
+        # cosh(1000 pi) overflows in the direct rule, and phihat and the
+        # symbol underflow; the table still builds.
         k = mq.multiquadric(-0.75, 1000.0)
         assert mq.compute_tau(k, 1e-11).tau >= 1
-        try:
-            t = mq.build_cardinal_table(k, 1e-11, 32, 16)
-        except NumericalError:
-            return
-        assert np.all(np.isfinite(t.values))
+        t = mq.build_cardinal_table(k, 1e-11, 32, 16)
+        delta = np.zeros(65)
+        delta[32] = 1.0
+        assert np.max(np.abs(t.values[::16] - delta)) <= 1e-11
 
 
 class TestPeriodizedSymbol:
@@ -205,14 +206,14 @@ class TestSymbolFold:
         plan = mq.compute_tau(k, eps)
         q = 64
         f = lambda xi: mq.kernel_fourier(k, xi)
-        spec = _even_spectrum(m, q, f, mq.kernel_fourier_at_zero(k)).real
+        spec = _half_spectrum(m, q, f).real
         got = _fold_symbol(_symbol_rows(spec, plan.tau, f))
         want = _symbol_terms(plan.kernel, plan.tau, self.residues(q))
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     def test_rows_past_half_are_evaluated(self):
         f = lambda xi: 1.0 + xi
-        spec = _even_spectrum(6, 8, f, at_zero=1.0).real
+        spec = _half_spectrum(6, 8, f).real
         rows = _symbol_rows(spec, 4, f)
         assert rows.shape == (5, 8)
         r, s = np.mgrid[0:5, 0:8]
@@ -224,7 +225,7 @@ class TestSymbolFold:
         plan = mq.compute_tau(mq.gaussian(lam), 1e-16)
         q = 128
         f = lambda xi: -xi * xi / (4.0 * lam)
-        spec = _even_spectrum(m, q, f, 0.0).real
+        spec = _half_spectrum(m, q, f).real
         got = _log_fold_symbol(_symbol_rows(spec, plan.tau, f))
         shifts = TWO_PI * np.arange(-plan.tau, plan.tau + 1)
         expo = f(self.residues(q)[:, None] + shifts[None, :])
@@ -291,6 +292,34 @@ class TestReduceFrequency:
 
 
 class TestCardinalHat:
+    @pytest.mark.parametrize(
+        "k", [mq.poisson(300.0), mq.multiquadric(-1.5, 300.0), mq.gaussian(1e-3)]
+    )
+    def test_where_phihat_underflows(self, k):
+        # phihat(3) and S(3) both underflow to 0: this was a ZeroDivisionError.
+        plan = mq.compute_tau(k, 1e-12)
+        assert mq.cardinal_hat(plan, 3.0) == pytest.approx(1.0, abs=1e-12)
+        # Far out the ratio rounds to 0 rather than overflowing.
+        assert mq.cardinal_hat(plan, 1000.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "k",
+        [mq.poisson(1.0), mq.multiquadric(-1.5, 0.7), mq.multiquadric(-0.4, 1.0), mq.gaussian(0.3)],
+    )
+    def test_arrays_match_scalar_calls(self, k):
+        plan = mq.compute_tau(k, 1e-12)
+        xi = np.concatenate([np.linspace(-20.0, 20.0, 61), [0.0, TWO_PI, -TWO_PI]])
+        want = [mq.cardinal_hat(plan, float(x)) for x in xi]
+        np.testing.assert_array_equal(mq.cardinal_hat(plan, xi), want)
+        np.testing.assert_array_equal(mq.cardinal_hat(plan, xi.reshape(8, 8)).ravel(), want)
+        if k.alpha >= -0.5:
+            # The removable limit at the lattice points.
+            assert mq.cardinal_hat(plan, 0.0) == 1.0 and mq.cardinal_hat(plan, TWO_PI) == 0.0
+            xi = xi[reduce_frequency(xi) != 0.0]
+        np.testing.assert_array_equal(
+            mq.periodized_symbol(plan, xi), [mq.periodized_symbol(plan, float(x)) for x in xi]
+        )
+
     def test_partition_of_unity(self):
         plan = mq.compute_tau(mq.poisson(1.0), 1e-16)
         for xi in np.linspace(-math.pi + 1e-6, math.pi, 33):
@@ -399,6 +428,46 @@ class TestCardinalTable:
             t.values[0] = 2.0
 
 
+class TestWideKernels:
+    """Kernels so wide that phihat and the symbol underflow on the table grid."""
+
+    @pytest.mark.parametrize(
+        "k",
+        [mq.poisson(240.0), mq.poisson(300.0), mq.poisson(1000.0), mq.multiquadric(-1.5, 300.0),
+         mq.multiquadric(-2.5, 300.0), mq.multiquadric(-0.75, 700.0)],
+    )
+    def test_table_builds_and_is_near_sinc(self, k):
+        # Each raised "periodized symbol underflowed".  The delta residual
+        # alone can read 0 for a table close to a sinc, so the off-grid
+        # values are checked too: Lhat is nearly the box on (-pi, pi).
+        t = mq.build_cardinal_table(k, 1e-11, 32, 16)
+        delta = np.zeros(65)
+        delta[32] = 1.0
+        assert np.max(np.abs(t.values[::16] - delta)) <= 1e-11
+        assert np.max(np.abs(t.values - np.sinc(np.arange(-512, 513) / 16))) <= 1e-3
+
+    @given(
+        family=st.sampled_from(["poisson", -0.6, -0.75, -1.25, -1.5, -2.5, -3.3]),
+        log_c=st.floats(-1.0, math.log10(2000.0)),
+        log_eps=st.floats(-14.0, -6.0),
+        n=st.integers(4, 64),
+        m=st.integers(4, 32),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_operating_range_sweep(self, family, log_c, log_eps, n, m):
+        # A table that meets its budget, or a BandwidthError naming a larger M.
+        c, eps = 10.0**log_c, 10.0**log_eps
+        k = mq.poisson(c) if family == "poisson" else mq.multiquadric(family, c)
+        try:
+            t = mq.build_cardinal_table(k, eps, n, m)
+        except BandwidthError as exc:
+            assert exc.suggested_m > m
+            return
+        delta = np.zeros(2 * n + 1)
+        delta[n] = 1.0
+        assert np.max(np.abs(t.values[::m] - delta)) <= eps
+
+
 class TestTableTransform:
     """The table build's spectrum layout and its four-step inverse FFT."""
 
@@ -420,12 +489,15 @@ class TestTableTransform:
     @pytest.mark.parametrize("m", [5, 6])
     def test_even_spectrum_layout(self, m):
         q = 16
-        spec = _even_spectrum(m, q, lambda xi: 1.0 + xi, at_zero=-1.0)
+        spec = _half_spectrum(m, q, lambda xi: 1.0 + xi)
         flat = spec.reshape(-1)
         p = m * q
         assert spec.shape == (m, q)
+        assert np.all(flat[p // 2 + 1 :] == 0.0)
+        _mirror_half(spec.real)
+        flat = spec.reshape(-1)
         assert np.all(flat.imag == 0.0)
-        assert flat.real[0] == -1.0
+        assert flat.real[0] == 1.0
         i = np.arange(1, p // 2 + 1)
         np.testing.assert_array_equal(flat.real[i], 1.0 + i * (TWO_PI / q))
         np.testing.assert_array_equal(flat.real[p - i], flat.real[i])

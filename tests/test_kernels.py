@@ -6,6 +6,7 @@ quadrature, plus a handful of frozen reference values.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,14 +71,26 @@ class TestBesselK:
         mq.bessel_k(1e20, 1.0)
 
     def test_high_half_integer_order_goes_to_kv(self):
-        # Past the recurrence's range a half-integer order is kv's value,
-        # not an accumulation of one rounding step per order.
+        # Past the recurrence's range a half-integer order is kve's value
+        # times e^-r, not an accumulation of one rounding step per order.
         from scipy import special
 
         r = np.linspace(50.0, 700.0, 131)
-        np.testing.assert_array_equal(mq.bessel_k(200.5, r), special.kv(200.5, r))
+        np.testing.assert_array_equal(mq.bessel_k(200.5, r), special.kve(200.5, r) * np.exp(-r))
         # An order this large would take 1e12 recurrence steps.
-        np.testing.assert_array_equal(mq.bessel_k(1e12 + 0.5, r), special.kv(1e12 + 0.5, r))
+        np.testing.assert_array_equal(
+            mq.bessel_k(1e12 + 0.5, r), special.kve(1e12 + 0.5, r) * np.exp(-r)
+        )
+
+    @pytest.mark.parametrize(
+        "nu, r", [(0.25, 1e-2), (0.25, 0.5), (0.25, 300.0), (0.25, 700.0), (200.5, 50.0), (200.5, 700.0)]
+    )
+    def test_non_integer_orders_against_mpmath(self, nu, r):
+        # kv(0.25, 700) is 0; K_0.25(700) is about 4.67e-306, a normal double.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            want = float(mpmath.besselk(nu, r))
+        assert mq.bessel_k(nu, r) == pytest.approx(want, rel=1e-13)
 
     def test_half_integer_closed_form(self):
         r = np.linspace(0.2, 20.0, 40)
@@ -187,6 +200,68 @@ class TestFourierTransforms:
         if alpha == -200.0:  # Gamma(200) in the transform's prefactor
             with pytest.raises(KernelOverflowError):
                 mq.kernel_fourier(k, 1.0)
+
+    @pytest.mark.parametrize("c", [1e-120, 1e-200])
+    def test_overflowing_transform_is_typed(self, c):
+        # At alpha = -3 the transform grows like c^-5: its log at c = 1e-120
+        # is 1381.7, and at c = 1e-200 K_2.5(c) itself overflows.  Both
+        # were inf with a RuntimeWarning.
+        k = mq.multiquadric(-3.0, c)
+        assert mq.log_kernel_fourier(k, 1.0) > 709.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(KernelOverflowError, match="larger c"):
+                mq.kernel_fourier(k, 1.0)
+
+    @pytest.mark.parametrize(
+        "alpha, c", [(-0.6, 0.3), (-1.5, 1.0), (-2.5, 7.0), (-150.0, 2.0), (-3.0, 1e-40)]
+    )
+    def test_at_zero_is_the_gamma_limit(self, alpha, c):
+        # sqrt(pi) Gamma(-alpha - 1/2) / Gamma(-alpha) c^(2 alpha + 1)
+        k = mq.multiquadric(alpha, c)
+        want = (0.5 * math.log(math.pi) + math.lgamma(-alpha - 0.5) - math.lgamma(-alpha)
+                + (2.0 * alpha + 1.0) * math.log(c))
+        assert mq.log_kernel_fourier(k, 0.0) == pytest.approx(want, rel=1e-14, abs=1e-13)
+        assert mq.kernel_fourier_at_zero(k) == mq.kernel_fourier(k, 0.0)
+        assert mq.kernel_fourier_at_zero(k) == pytest.approx(math.exp(want), rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "k, xi",
+        [
+            (mq.poisson(300.0), 10.0),
+            (mq.multiquadric(-1.5, 300.0), 10.0),
+            (mq.multiquadric(-2.5, 2000.0), 3.0),
+            (mq.multiquadric(-3.3, 5.0), 200.0),
+            (mq.gaussian(1e-3), 10.0),
+        ],
+    )
+    def test_log_transform_where_transform_underflows(self, k, xi):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            if k.family == "gaussian":
+                lam = mpmath.mpf(k.lam)
+                want = mpmath.log(mpmath.sqrt(mpmath.pi / lam)) - mpmath.mpf(xi) ** 2 / (4 * lam)
+            else:
+                a, c = mpmath.mpf(k.alpha), mpmath.mpf(k.c)
+                want = mpmath.log(
+                    mpmath.sqrt(2 * mpmath.pi) * 2 ** (1 + a) / mpmath.gamma(-a)
+                    * (c / xi) ** (a + 0.5) * mpmath.besselk(a + 0.5, c * xi)
+                )
+        assert mq.kernel_fourier(k, xi) == 0.0
+        assert mq.log_kernel_fourier(k, xi) == pytest.approx(float(want), rel=1e-14)
+
+    def test_transform_nonzero_at_large_argument(self):
+        # c|xi| = 700: with kv the alpha = -0.75 transform was exactly 0.
+        mpmath = pytest.importorskip("mpmath")
+        a, c = -0.75, 700.0
+        with mpmath.workdps(40):
+            want = float(
+                mpmath.sqrt(2 * mpmath.pi) * mpmath.mpf(2) ** (1 + a) / mpmath.gamma(-a)
+                * mpmath.mpf(c) ** (a + 0.5) * mpmath.besselk(a + 0.5, c)
+            )
+        got = mq.kernel_fourier(mq.multiquadric(a, c), 1.0)
+        assert got > 0.0
+        assert got == pytest.approx(want, rel=1e-13)
 
     def test_divergent_at_zero(self):
         with pytest.raises(DivergenceError):

@@ -38,6 +38,14 @@ class TestNodeSequence:
         with pytest.raises(DomainError):
             mq.NodeSequence(np.array([0.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_nodes(self, bad):
+        # A NaN node passed the ordering check; estimate_frame_bounds then
+        # leaked LinAlgError and kadec_margin returned nan.
+        for nodes in ([0.0, bad, 1.0], [0.0, 1.0, bad], [bad, 0.0, 1.0], [bad]):
+            with pytest.raises(DomainError, match="finite"):
+                mq.NodeSequence(np.array(nodes))
+
     def test_file_round_trip(self, tmp_path):
         ns = mq.NodeSequence(np.array([-1.25, 0.0, 2.5]))
         path = tmp_path / "nodes.txt"
