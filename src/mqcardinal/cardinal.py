@@ -37,9 +37,14 @@ from .kernels import (
 
 TWO_PI = 2.0 * math.pi
 
-# Internal spatial period (in lattice units) of the FFT reconstruction is at
-# least this many times the table half-width, so wrap-around of the cardinal
-# function's algebraic tail stays below the table tolerance.
+# Spatial period Q (in lattice units) of the FFT reconstruction: the power
+# of 2 at or above max(_MIN_PERIOD, _PERIOD_FACTOR N).  The inverse FFT
+# returns L summed over the shifts x + k Q.  That keeps L(j) = delta_0j at
+# every integer, so the delta residual cannot see it, but off the integers
+# the shifted tails add about Q^(2 alpha), and Q does not hold that to the
+# table tolerance.  At Q = 2048 (N = 32, M = 64) it is 1.85e-9 for Poisson
+# c = 1, 3e-8 for alpha = -0.75 and 3.4e-12 for alpha = -1.5 (c = 1), and
+# at most 2e-14 for Poisson c = 3, alpha = -2.5 and the gaussian lambda = 1.
 _MIN_PERIOD = 2048
 _PERIOD_FACTOR = 8
 # Spare complex values at the end of each row of the table build's (M, Q)
@@ -52,6 +57,12 @@ _SERIES_PAD = 2
 # below it to -inf before its one exp: numpy's exp is about 100 times
 # slower on an input whose result is subnormal.
 _LOG_TINY = math.log(np.finfo(float).tiny)
+# Log of 2^-60.  Spectrum rows and symbol shifts whose transform values are
+# below this share of phihat(pi) (split over the terms they add to) are not
+# evaluated; see _first_negligible.
+_LOG_CUT = -60.0 * math.log(2.0)
+# Shifts the gaussian tau rule sums at most (lambda up to about 1e11).
+_MAX_GAUSSIAN_SHIFTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -106,8 +117,50 @@ def _symbol_terms(k: Kernel, tau: int, xi_star: np.ndarray, log_scale=0.0) -> np
 
 def _empirical_symbol_min(k: Kernel, tau0: int = 50, grid: int = 512) -> float:
     # The symbol is even, so its minimum over (-pi, pi] is taken on [0, pi].
+    # Of the shifts |j| <= tau0, those from the first j with
+    # phihat(2 pi j - pi) below 2^-60 / (2 tau0 + 1) of phihat(pi) on add
+    # less than 2^-60 of the sum together, and are left out.
     xs = (-math.pi + TWO_PI * (np.arange(grid) + 1.0) / grid)[grid // 2 - 1 :]
-    return float(_symbol_terms(k, tau0, xs).min())
+    shifts = TWO_PI * np.arange(1, tau0 + 1) - math.pi
+    tau = _first_negligible(k, shifts, _LOG_CUT - math.log(2 * tau0 + 1))
+    return float(_symbol_terms(k, tau, xs).min())
+
+
+def _gaussian_tail_tau(lam: float, epsilon: float) -> int:
+    """Smallest tau >= 1 whose dropped shifts of S(pi) sum to at most epsilon
+    of its largest term.
+
+    The shifts -j and j - 1 of S(pi) are each phihat((2j - 1) pi) =
+    exp(-j (j - 1) pi^2 / lam) phihat(pi), so the shifts |j| > tau sum to
+    at most twice that over j > tau.  The first term past the last one
+    summed here is below exp(-40) epsilon, and within the shift cap all of
+    them together are below exp(-31) epsilon.
+    """
+    a = math.pi**2 / lam
+    last = math.ceil(math.sqrt((40.0 - math.log(epsilon / 2.0)) / a)) + 2
+    if last > _MAX_GAUSSIAN_SHIFTS:
+        raise UnsupportedKernelError(
+            f"gaussian lambda={lam:g} is too narrow: its symbol needs over "
+            f"{_MAX_GAUSSIAN_SHIFTS} shifts"
+        )
+    j = np.arange(2.0, last + 1.0)  # the j = 1 term, 1, never meets epsilon
+    tail = np.cumsum(np.exp(-j * (j - 1.0) * a)[::-1])[::-1]  # tail[t] = sum_{j > t + 1}
+    return 1 + int(np.argmax(2.0 * tail <= epsilon))
+
+
+def _first_negligible(k: Kernel, xi: np.ndarray, log_share: float) -> int:
+    """Index of the first frequency in the increasing array ``xi`` (all
+    >= pi) where ``phihat(xi) < exp(log_share) * phihat(pi)``; ``xi.size``
+    if there is none.
+
+    phihat decreases in |xi| for every family, and every symbol value
+    S(xi*), |xi*| <= pi, has the term phihat(xi*) >= phihat(pi).  So from
+    that index on, each transform value is below ``exp(log_share)`` of any
+    symbol value.
+    """
+    logs = log_kernel_fourier(k, np.concatenate(([math.pi], xi)))
+    hit = np.flatnonzero(logs[1:] - logs[0] < log_share)
+    return int(hit[0]) if hit.size else xi.size
 
 
 def compute_tau(k: Kernel, epsilon: float) -> TruncationPlan:
@@ -117,16 +170,20 @@ def compute_tau(k: Kernel, epsilon: float) -> TruncationPlan:
     the alpha = -1 (Poisson) transform, the generic exponential-envelope
     bound for -1 < alpha < 0, a certified numerical tail search for
     alpha < -1 (where no analytic lower-bound constant is available), and
-    the fixed linear-in-log(eps) rule for the gaussian.
+    for the gaussian the larger of a linear-in-log(eps) rule and the
+    lambda-dependent tail bound of :func:`_gaussian_tail_tau`.
     """
     if not (0.0 < epsilon < 1.0):
         raise DomainError("epsilon must lie in (0, 1)")
 
     if k.family == GAUSSIAN:
-        tau = math.ceil(2.0 / math.pi**2 * abs(math.log(epsilon / 4.0)) + 4.0)
+        tau = max(
+            math.ceil(2.0 / math.pi**2 * abs(math.log(epsilon / 4.0)) + 4.0),
+            _gaussian_tail_tau(k.lam, epsilon),
+        )
         gamma = math.sqrt(math.pi / k.lam)
         d_lower = gamma * math.exp(-math.pi**2 / (4.0 * k.lam))
-        return TruncationPlan(k, epsilon, max(1, tau), gamma, d_lower)
+        return TruncationPlan(k, epsilon, tau, gamma, d_lower)
 
     if k.alpha >= 0:
         raise UnsupportedKernelError("cardinal pipeline requires alpha < 0")
@@ -336,11 +393,12 @@ def series_samples(t: CardinalTable, coeffs: np.ndarray) -> np.ndarray:
     return conv
 
 
-def _half_spectrum(m: int, q: int, f) -> np.ndarray:
+def _half_spectrum(m: int, q: int, f, rows: int) -> np.ndarray:
     """First half of an even real spectrum in FFT order, a complex (M, Q) array.
 
-    Flat slots i = 0 .. p/2 (p = M Q) hold ``f(2 pi i / Q)``; the others,
-    and the imaginary part, are zero until :func:`_mirror_half` fills them.
+    Flat slots i = 0 .. p/2 (p = M Q) in the first ``rows`` rows (at most
+    M//2 + 1, which hold them all) hold ``f(2 pi i / Q)``; the others, and
+    the imaginary part, are zero until :func:`_mirror_half` fills them.
     ``f`` is called on one row of Q frequencies at a time, so the array
     itself is the only large allocation.  The array is a view whose rows
     lie ``Q + _ROW_PAD`` values apart: with rows exactly Q values apart,
@@ -350,18 +408,19 @@ def _half_spectrum(m: int, q: int, f) -> np.ndarray:
     """
     out = np.zeros((m, q + _ROW_PAD), dtype=complex)[:, :q]
     half = m * q // 2
-    for r in range(half // q + 1):
+    for r in range(rows):
         c1 = min(q, half + 1 - r * q)
         out.real[r, :c1] = f((r * q + np.arange(c1)) * (TWO_PI / q))
     return out
 
 
-def _mirror_half(spec: np.ndarray) -> None:
+def _mirror_half(spec: np.ndarray, rows: int) -> None:
     """Make the flat form of the real (M, Q) array even, in place: slot
-    p - i takes the value of slot i, for i = 1 .. p/2 (p = M Q)."""
+    p - i takes the value of slot i, for the slots i = 1 .. p/2 (p = M Q)
+    in the first ``rows`` rows."""
     m, q = spec.shape
     half = m * q // 2
-    for r in range(half // q + 1):
+    for r in range(rows):
         c1 = min(q, half + 1 - r * q)
         # Slot r Q + c mirrors to (M - 1 - r, Q - c) for c >= 1 and to
         # (M - r, 0) for c = 0 (slot 0 is its own mirror).
@@ -376,18 +435,25 @@ def _mirror_residues(half: np.ndarray) -> np.ndarray:
     return np.concatenate((half, half[-2:0:-1]))
 
 
-def _symbol_rows(spec: np.ndarray, tau: int, f) -> np.ndarray:
+def _symbol_rows(spec: np.ndarray, tau: int, f, band: int) -> np.ndarray:
     """Rows 0 .. tau of the spectrum: ``f(2 pi (r + s / Q))`` in row r, column s.
 
     ``_half_spectrum`` holds them whole for r < M//2; any rows from M//2 up
-    to tau are evaluated here.
+    to tau are evaluated here.  With ``band`` <= tau, the rows stop at row
+    ``band``, which is -inf (the log of 0): ``f`` is then a log transform,
+    negligible from that row on.  Row ``band`` still has to be there, since
+    the fold reads shift -band from row band - 1.
     """
     m, q = spec.shape
-    whole = min(tau + 1, m // 2)
-    if whole == tau + 1:
-        return spec[:whole]
-    slots = np.arange(whole, tau + 1)[:, None] * q + np.arange(q)
-    return np.concatenate((spec[:whole], f(slots * (TWO_PI / q))))
+    last = min(tau, band - 1)
+    whole = min(last + 1, m // 2)
+    parts = [spec[:whole]]
+    if whole <= last:
+        slots = np.arange(whole, last + 1)[:, None] * q + np.arange(q)
+        parts.append(f(slots * (TWO_PI / q)))
+    if last < tau:
+        parts.append(np.full((1, q), -np.inf))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _fold_symbol(rows: np.ndarray) -> np.ndarray:
@@ -487,21 +553,33 @@ def build_cardinal_table(
         )
 
     # Lhat on xi = 2 pi m / Q, m in FFT order (p = Q M), laid out as an
-    # (M, Q) array: column s holds the slots of symbol residue s.  Every
-    # family's transform depends on |xi| only, so Lhat is formed for
-    # m <= p/2, in the first M//2 + 1 rows, and then mirrored.  The symbol
-    # is folded from the same values.  phihat/S is formed in log space:
-    # for wide kernels both numerator and denominator underflow while
-    # their ratio is order one.
+    # (M, Q) array: column s holds the slots of symbol residue s, row r the
+    # xi in [2 pi r, 2 pi (r + 1)).  Every family's transform depends on
+    # |xi| only, so Lhat is formed for m <= p/2, in the first M//2 + 1 rows,
+    # and then mirrored.  The symbol is folded from the same values.
+    # phihat/S is formed in log space: for wide kernels both numerator and
+    # denominator underflow while their ratio is order one.
+    #
+    # Lhat <= phihat(2 pi r) / phihat(pi) on row r >= 1 (see
+    # _first_negligible), so from the first row where that is below
+    # 2^-60 / M, the band, neither the rows nor the symbol shifts they hold
+    # are evaluated.  The slots left 0, fewer than M Q, each move a table
+    # value by under 2^-60 / (M Q), so all of them by under 2^-60.
     f = partial(log_kernel_fourier, k)
-    lhat = _half_spectrum(M, q, f)
+    reach = max(M // 2, plan.tau)
+    band = 1 + _first_negligible(
+        k, TWO_PI * np.arange(1, reach + 1), _LOG_CUT - math.log(M)
+    )
+    rows = min(band, M // 2 + 1)
+    lhat = _half_spectrum(M, q, f, rows)
     spec = lhat.real
-    head = spec[: M // 2 + 1]
-    head[-1, M * q // 2 - (M // 2) * q + 1 :] = -np.inf  # slots past p/2
-    head -= _log_fold_symbol(_symbol_rows(spec, plan.tau, f))
+    head = spec[:rows]
+    if rows == M // 2 + 1:
+        head[-1, M * q // 2 - (M // 2) * q + 1 :] = -np.inf  # slots past p/2
+    head -= _log_fold_symbol(_symbol_rows(spec, plan.tau, f, band))
     head[head < _LOG_TINY] = -np.inf
     np.exp(head, out=head)
-    _mirror_half(spec)
+    _mirror_half(spec, rows)
 
     vals = _ifft_even(lhat)
     imag = vals.imag
@@ -510,14 +588,29 @@ def build_cardinal_table(
         raise NumericalConsistencyError(
             f"imaginary residue {imag_max:.3g} exceeds 1e-10 after inverse FFT"
         )
-    # L(n / M) for n = -N M .. N M: output n mod p is entry [t, j] of vals,
-    # or its mirror entry when t > M/2.
-    idx = np.arange(-N * M, N * M + 1) % (M * q)
-    t, j = idx % M, idx // M
-    far = t > M // 2
-    raw = vals.real[np.where(far, M - t, t), np.where(far, q - 1 - j, j)]
-    sym = 0.5 * (raw + raw[::-1])
-    return CardinalTable(k, N, M, sym, epsilon, interp_order)
+    return CardinalTable(k, N, M, _read_table(vals.real, N, M), epsilon, interp_order)
+
+
+def _read_table(vals: np.ndarray, n: int, m: int) -> np.ndarray:
+    """L(i / M), i = -N M .. N M, symmetrized, from the (M//2 + 1, Q) output
+    of :func:`_ifft_even`.
+
+    Output i = j M + t is entry [t, j] for t <= M/2, and entry
+    [M - t, Q - 1 - j] for t > M/2.  Output p - i (p = M Q), which is
+    L(-i / M), is the same entry except in the columns t = 0, where it is
+    [0, Q - j], and t = M/2 for even M, where it is [M/2, Q - 1 - j]; only
+    there does the average of L(i / M) and L(-i / M) differ from either.
+    """
+    q = vals.shape[1]
+    h = m // 2
+    grid = np.empty((n + 1, m))  # grid[j, t] = L((j M + t) / M)
+    grid[:, : h + 1] = vals[: h + 1, : n + 1].T
+    grid[:, h + 1 :] = vals[m - h - 1 : 0 : -1, q - n - 1 :][:, ::-1].T
+    grid[1:, 0] = 0.5 * (vals[0, 1 : n + 1] + vals[0, q - 1 : q - n - 1 : -1])
+    if m % 2 == 0:
+        grid[:, h] = 0.5 * (vals[h, : n + 1] + vals[h, q - 1 : q - n - 2 : -1])
+    half = grid.ravel()[: n * m + 1]
+    return np.concatenate((half[:0:-1], half))
 
 
 def _lagrange(values: np.ndarray, base: np.ndarray, s: np.ndarray, order: int) -> np.ndarray:

@@ -22,6 +22,7 @@ from scipy.integrate import simpson
 
 from .cardinal import build_cardinal_table
 from .errors import (
+    DomainError,
     IllConditionedError,
     InsufficientDataError,
     NumericalConsistencyError,
@@ -87,7 +88,7 @@ def error_norms(
     returned.
     """
     if T <= 0 or step <= 0:
-        raise ValueError("window and step must be positive")
+        raise DomainError("window and step must be positive")
     m = 2 * max(2, math.ceil(T / step))
     fine = np.linspace(-T, T, 2 * m + 1)
     diff = np.abs(f(fine) - np.asarray(g(fine), dtype=float))
@@ -281,7 +282,7 @@ def run_c_convergence(
     """
     f = f if f is not None else fejer_bandlimited(math.pi / 2.0)
     if len(c_grid) < 5 or np.any(np.diff(c_grid) <= 0):
-        raise ValueError("c_grid must be increasing with >= 5 points")
+        raise DomainError("c_grid must be increasing with >= 5 points")
     rows = []
     coeffs_j = np.arange(-J, J + 1, dtype=float)
     for c in c_grid:
@@ -391,7 +392,7 @@ def run_jitter_study(
     """
     f = f if f is not None else fejer_bandlimited(math.pi / 2.0)
     if max(L_grid) >= 0.25:
-        raise ValueError("jitter magnitudes must stay below 1/4")
+        raise DomainError("jitter magnitudes must stay below 1/4")
     kern = poisson(c)
     label = _kernel_label(kern)
     table = build_cardinal_table(kern, epsilon, 4 * J, 16)

@@ -7,6 +7,7 @@ generic parameters.
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from mqcardinal.cardinal import (
     _ifft_even,
     _log_fold_symbol,
     _mirror_half,
+    _read_table,
     _symbol_rows,
     _symbol_terms,
     periodized_symbol_lower_bound,
@@ -57,6 +59,26 @@ class TestComputeTau:
         assert mq.compute_tau(mq.poisson(1.0), 1e-32).term_count == 27
         assert mq.compute_tau(mq.gaussian(1.0), 1e-16).term_count == 25
         assert mq.compute_tau(mq.gaussian(1.0), 1e-16).tau == 12
+
+    @pytest.mark.parametrize(
+        "lam, eps, n, m, tau",
+        [(62.3, 3.35e-14, 18, 31, 14), (100.0, 1e-12, 32, 48, 17), (300.0, 1e-12, 32, 80, 29)],
+    )
+    def test_narrow_gaussian_tau_meets_eps(self, lam, eps, n, m, tau):
+        # The old rule gave tau = 10 or 11 for every lambda, and delta
+        # residuals of 2.9e3, 3.1e6 and 7.1e9 eps.
+        k = mq.gaussian(lam)
+        assert mq.compute_tau(k, eps).tau == tau
+        t = mq.build_cardinal_table(k, eps, n, m)
+        delta = np.zeros(2 * n + 1)
+        delta[n] = 1.0
+        assert np.max(np.abs(t.values[::m] - delta)) <= 0.1 * eps
+
+    @pytest.mark.parametrize("lam", [0.01, 1.0, 10.0, 30.0])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-12, 1e-16])
+    def test_gaussian_tau_keeps_old_rule_where_it_sufficed(self, lam, eps):
+        old = math.ceil(2.0 / math.pi**2 * abs(math.log(eps / 4.0)) + 4.0)
+        assert mq.compute_tau(mq.gaussian(lam), eps).tau == old
 
     def test_epsilon_domain(self):
         for bad in (0.0, 1.0, 2.0, -1e-3):
@@ -206,15 +228,15 @@ class TestSymbolFold:
         plan = mq.compute_tau(k, eps)
         q = 64
         f = lambda xi: mq.kernel_fourier(k, xi)
-        spec = _half_spectrum(m, q, f).real
-        got = _fold_symbol(_symbol_rows(spec, plan.tau, f))
+        spec = _half_spectrum(m, q, f, m // 2 + 1).real
+        got = _fold_symbol(_symbol_rows(spec, plan.tau, f, plan.tau + 1))
         want = _symbol_terms(plan.kernel, plan.tau, self.residues(q))
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     def test_rows_past_half_are_evaluated(self):
         f = lambda xi: 1.0 + xi
-        spec = _half_spectrum(6, 8, f).real
-        rows = _symbol_rows(spec, 4, f)
+        spec = _half_spectrum(6, 8, f, 4).real
+        rows = _symbol_rows(spec, 4, f, 5)
         assert rows.shape == (5, 8)
         r, s = np.mgrid[0:5, 0:8]
         np.testing.assert_allclose(rows, 1.0 + TWO_PI * (r + s / 8.0), rtol=1e-15)
@@ -225,8 +247,8 @@ class TestSymbolFold:
         plan = mq.compute_tau(mq.gaussian(lam), 1e-16)
         q = 128
         f = lambda xi: -xi * xi / (4.0 * lam)
-        spec = _half_spectrum(m, q, f).real
-        got = _log_fold_symbol(_symbol_rows(spec, plan.tau, f))
+        spec = _half_spectrum(m, q, f, m // 2 + 1).real
+        got = _log_fold_symbol(_symbol_rows(spec, plan.tau, f, plan.tau + 1))
         shifts = TWO_PI * np.arange(-plan.tau, plan.tau + 1)
         expo = f(self.residues(q)[:, None] + shifts[None, :])
         want = special.logsumexp(expo, axis=1)
@@ -278,6 +300,22 @@ class TestSymbolTerms:
         slow = [mq.compute_tau(mq.multiquadric(a, c), eps) for a, c, eps in cases]
         for p, q in zip(fast, slow):
             assert repr((p.tau, p.d_lower, p.gamma)) == repr((q.tau, q.d_lower, q.gamma))
+
+    def test_tau_sweep_matches_uncut_symbol_min(self, monkeypatch):
+        # The symbol minimum sums only the shifts above 2^-60 of S; tau and
+        # d_lower are those of the full 50-shift sum.
+        cases = [(a, c, eps) for a in np.linspace(-1.05, -6.0, 6)
+                 for c in (0.05, 0.5, 3.0, 20.0) for eps in (1e-6, 1e-14)]
+        cut = [mq.compute_tau(mq.multiquadric(a, c), eps) for a, c, eps in cases]
+
+        def uncut(k, tau0=50, grid=512):
+            xs = (-math.pi + TWO_PI * (np.arange(grid) + 1.0) / grid)[grid // 2 - 1 :]
+            return float(_symbol_terms(k, tau0, xs).min())
+
+        monkeypatch.setattr(cardinal, "_empirical_symbol_min", uncut)
+        full = [mq.compute_tau(mq.multiquadric(a, c), eps) for a, c, eps in cases]
+        for p, q in zip(cut, full):
+            assert (p.tau, p.d_lower) == (q.tau, q.d_lower)
 
 
 class TestReduceFrequency:
@@ -447,17 +485,21 @@ class TestWideKernels:
         assert np.max(np.abs(t.values - np.sinc(np.arange(-512, 513) / 16))) <= 1e-3
 
     @given(
-        family=st.sampled_from(["poisson", -0.6, -0.75, -1.25, -1.5, -2.5, -3.3]),
+        family=st.sampled_from(["poisson", "gaussian", -0.6, -0.75, -1.25, -1.5, -2.5, -3.3]),
         log_c=st.floats(-1.0, math.log10(2000.0)),
+        log_lam=st.floats(-4.0, 3.0),
         log_eps=st.floats(-14.0, -6.0),
         n=st.integers(4, 64),
         m=st.integers(4, 32),
     )
     @settings(max_examples=100, deadline=None)
-    def test_operating_range_sweep(self, family, log_c, log_eps, n, m):
+    def test_operating_range_sweep(self, family, log_c, log_lam, log_eps, n, m):
         # A table that meets its budget, or a BandwidthError naming a larger M.
         c, eps = 10.0**log_c, 10.0**log_eps
-        k = mq.poisson(c) if family == "poisson" else mq.multiquadric(family, c)
+        if family == "gaussian":
+            k = mq.gaussian(10.0**log_lam)
+        else:
+            k = mq.poisson(c) if family == "poisson" else mq.multiquadric(family, c)
         try:
             t = mq.build_cardinal_table(k, eps, n, m)
         except BandwidthError as exc:
@@ -489,12 +531,12 @@ class TestTableTransform:
     @pytest.mark.parametrize("m", [5, 6])
     def test_even_spectrum_layout(self, m):
         q = 16
-        spec = _half_spectrum(m, q, lambda xi: 1.0 + xi)
+        spec = _half_spectrum(m, q, lambda xi: 1.0 + xi, m // 2 + 1)
         flat = spec.reshape(-1)
         p = m * q
         assert spec.shape == (m, q)
         assert np.all(flat[p // 2 + 1 :] == 0.0)
-        _mirror_half(spec.real)
+        _mirror_half(spec.real, m // 2 + 1)
         flat = spec.reshape(-1)
         assert np.all(flat.imag == 0.0)
         assert flat.real[0] == 1.0
@@ -506,3 +548,106 @@ class TestTableTransform:
         got = _ifft_even(spec)
         assert np.shares_memory(got, spec)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+class TestSpectrumBand:
+    """The build evaluates only the spectrum rows and symbol shifts above rounding."""
+
+    KERNELS = {
+        "poisson": mq.poisson,
+        "gaussian": lambda c: mq.gaussian(1.0 / (c * c)),
+        "mq-0.75": lambda c: mq.multiquadric(-0.75, c),
+        "mq-1.5": lambda c: mq.multiquadric(-1.5, c),
+        "mq-2.5": lambda c: mq.multiquadric(-2.5, c),
+    }
+
+    @given(
+        family=st.sampled_from(sorted(KERNELS)),
+        log_c=st.floats(-1.0, 2.0),
+        log_eps=st.floats(-16.0, -6.0),
+        n=st.integers(4, 128),
+        m=st.integers(4, 64),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cut_table_matches_uncut(self, family, log_c, log_eps, n, m):
+        k, eps = self.KERNELS[family](10.0**log_c), 10.0**log_eps
+        try:
+            cut = mq.build_cardinal_table(k, eps, n, m)
+        except BandwidthError:
+            return
+        with mock.patch.object(cardinal, "_LOG_CUT", -math.inf):
+            full = mq.build_cardinal_table(k, eps, n, m)
+        # At most 2^-60 from the cut, plus rounding: the inverse FFT rounds
+        # the two spectra differently.  In about 2500 random builds that moved 4
+        # tables past 1e-18, the worst by 1.4e-17, 1/16 of the last place
+        # of the table's largest value.
+        tol = 2.0**-60 + np.spacing(np.max(np.abs(full.values)))
+        assert np.max(np.abs(cut.values - full.values)) <= tol
+
+    @pytest.mark.parametrize(
+        "k, m",
+        [(mq.poisson(3.0), 48), (mq.gaussian(0.5), 48), (mq.multiquadric(-0.75, 2.0), 24),
+         (mq.multiquadric(-2.5, 2.0), 24), (mq.multiquadric(-1.5, 1.0), 24)],
+    )
+    def test_dropped_rows_are_below_bound(self, monkeypatch, k, m):
+        # The band the build cuts at: the first row r >= 1 with
+        # phihat(2 pi r) < 2^-60 / M of phihat(pi), and Lhat, from the
+        # full symbol, on every slot of the rows it leaves 0.
+        seen = {}
+        spectrum, symbol_rows = cardinal._half_spectrum, cardinal._symbol_rows
+
+        def spy_spectrum(m_, q, f, rows):
+            seen.update(q=q, rows=rows)
+            return spectrum(m_, q, f, rows)
+
+        def spy_symbol_rows(spec, tau, f, band):
+            seen.update(band=band)
+            return symbol_rows(spec, tau, f, band)
+
+        monkeypatch.setattr(cardinal, "_half_spectrum", spy_spectrum)
+        monkeypatch.setattr(cardinal, "_symbol_rows", spy_symbol_rows)
+        mq.build_cardinal_table(k, 1e-12, 32, m)
+        band, rows, q = seen["band"], seen["rows"], seen["q"]
+        share = mq.log_kernel_fourier(k, TWO_PI * np.arange(1, band + 1)) - mq.log_kernel_fourier(
+            k, math.pi
+        )
+        assert share[-1] < math.log(2.0**-60 / m) <= share[:-1].min(initial=math.inf)
+        assert rows == min(band, m // 2 + 1) < m // 2 + 1
+        plan = mq.compute_tau(k, 1e-12)
+        xi = TWO_PI * (np.arange(rows, m // 2 + 1)[:, None] + np.arange(q) / q)
+        assert np.max(mq.cardinal_hat(plan, xi)) <= 2.0**-60 / m
+
+    @pytest.mark.parametrize(
+        "k, n, m, most",
+        [(mq.poisson(3.0), 64, 48, 6176), (mq.gaussian(0.5), 64, 48, 4142),
+         (mq.multiquadric(-0.75, 2.0), 64, 24, 10264), (mq.multiquadric(-2.5, 2.0), 64, 24, 12624)],
+    )
+    def test_transform_evaluation_count(self, monkeypatch, k, n, m, most):
+        # Evaluating every row took 49160, 49174, 24588 and 50541 values.
+        count = [0]
+
+        def counting(kern, xi):
+            count[0] += np.size(xi)
+            return mq.log_kernel_fourier(kern, xi)
+
+        monkeypatch.setattr(cardinal, "log_kernel_fourier", counting)
+        mq.build_cardinal_table(k, 1e-12, n, m)
+        assert 0 < count[0] <= 1.05 * most
+
+    @staticmethod
+    def fancy_read(vals, n, m):
+        """The index form of the read-out: L(i / M) from entry [t, j] of
+        output i mod p = j M + t, or its mirror entry for t > M/2."""
+        q = vals.shape[1]
+        idx = np.arange(-n * m, n * m + 1) % (m * q)
+        t, j = idx % m, idx // m
+        far = t > m // 2
+        raw = vals[np.where(far, m - t, t), np.where(far, q - 1 - j, j)]
+        return 0.5 * (raw + raw[::-1])
+
+    @pytest.mark.parametrize("n, m, q", [(4, 4, 32), (7, 5, 64), (7, 6, 64), (64, 24, 2048), (33, 25, 512)])
+    def test_read_out_matches_index_form(self, n, m, q):
+        vals = np.random.default_rng(n * m).standard_normal((m // 2 + 1, q))
+        got = _read_table(vals, n, m)
+        want = self.fancy_read(vals, n, m)
+        assert got.tobytes() == want.tobytes()

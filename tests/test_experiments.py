@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mqcardinal as mq
-from mqcardinal.errors import InsufficientDataError
+from mqcardinal.errors import DomainError, InsufficientDataError
 from mqcardinal.testfunctions import zero
 
 
@@ -44,6 +44,11 @@ class TestErrorNorms:
             mq.error_norms(zero(), zero(), T=0.0)
         with pytest.raises(ValueError):
             mq.error_norms(zero(), zero(), step=-1.0)
+
+    def test_argument_errors_are_typed(self):
+        # A DomainError is still a ValueError, so the CLI exits 2 on it.
+        with pytest.raises(DomainError, match="window and step"):
+            mq.error_norms(zero(), zero(), T=-1.0)
 
 
 class TestFitRate:
@@ -149,6 +154,10 @@ class TestCConvergence:
         with pytest.raises(ValueError):
             mq.run_c_convergence(c_grid=(1.0, 3.0, 2.0, 4.0, 5.0))
 
+    def test_grid_errors_are_typed(self):
+        with pytest.raises(DomainError, match="c_grid"):
+            mq.run_c_convergence(c_grid=(1.0, 2.0, 3.0, 4.0))
+
 
 class TestNoiseFloor:
     def test_plateau_and_clean_decrease(self):
@@ -178,6 +187,10 @@ class TestJitterStudy:
     def test_magnitude_cap(self):
         with pytest.raises(ValueError):
             mq.run_jitter_study(L_grid=(0.0, 0.3))
+
+    def test_magnitude_error_is_typed(self):
+        with pytest.raises(DomainError, match="below 1/4"):
+            mq.run_jitter_study(L_grid=(0.0, 0.25))
 
 
 class TestConditioningStudy:
