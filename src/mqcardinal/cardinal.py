@@ -47,9 +47,6 @@ TWO_PI = 2.0 * math.pi
 # at most 2e-14 for Poisson c = 3, alpha = -2.5 and the gaussian lambda = 1.
 _MIN_PERIOD = 2048
 _PERIOD_FACTOR = 8
-# Spare complex values at the end of each row of the table build's (M, Q)
-# spectrum array; see _half_spectrum.
-_ROW_PAD = 8
 # Zeros on each side of the table in the cardinal series convolution; see
 # series_samples.
 _SERIES_PAD = 2
@@ -61,6 +58,8 @@ _LOG_TINY = math.log(np.finfo(float).tiny)
 # below this share of phihat(pi) (split over the terms they add to) are not
 # evaluated; see _first_negligible.
 _LOG_CUT = -60.0 * math.log(2.0)
+# Lagrange weight i's product of (s - j), j != i, at its own node s = i, by order.
+_AT_NODE = {2: np.array([-1.0, 1.0]), 4: np.array([-6.0, 2.0, -2.0, 6.0])}
 # Shifts the gaussian tau rule sums at most (lambda up to about 1e11).
 _MAX_GAUSSIAN_SHIFTS = 1 << 20
 
@@ -92,12 +91,12 @@ def _mq_tail_prefactor(k: Kernel) -> float:
     )
 
 
-def _phihat_envelope(k: Kernel, r) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
+def _phihat_envelope(k: Kernel, r: np.ndarray) -> np.ndarray:
+    # In log space: for a tiny c the factor e^(nu^2 / (2 c r)) alone overflows.
     alpha, c = k.alpha, k.c
     nu = alpha + 0.5
-    lam = _mq_tail_prefactor(k)
-    return lam * r ** (-alpha - 1.0) * np.exp(-c * r + nu * nu / (2.0 * c * r))
+    log_lam = math.log(_mq_tail_prefactor(k))
+    return _exp_transform(k, log_lam + (-alpha - 1.0) * np.log(r) - c * r + nu * nu / (2.0 * c * r))
 
 
 def _symbol_terms(k: Kernel, tau: int, xi_star: np.ndarray, log_scale=0.0) -> np.ndarray:
@@ -394,39 +393,18 @@ def series_samples(t: CardinalTable, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _half_spectrum(m: int, q: int, f, rows: int) -> np.ndarray:
-    """First half of an even real spectrum in FFT order, a complex (M, Q) array.
+    """First half of an even real spectrum in FFT order, a real (rows, Q) array.
 
     Flat slots i = 0 .. p/2 (p = M Q) in the first ``rows`` rows (at most
-    M//2 + 1, which hold them all) hold ``f(2 pi i / Q)``; the others, and
-    the imaginary part, are zero until :func:`_mirror_half` fills them.
-    ``f`` is called on one row of Q frequencies at a time, so the array
-    itself is the only large allocation.  The array is a view whose rows
-    lie ``Q + _ROW_PAD`` values apart: with rows exactly Q values apart,
-    a power-of-2 number of bytes, every value of a column falls into the
-    same few cache sets, and the transforms down the columns run slower,
-    by an amount that depends on where the array lands in memory.
+    M//2 + 1, which hold them all) hold ``f(2 pi i / Q)``; any slots past
+    p/2 are 0.  ``f`` is called on one row of Q frequencies at a time.
     """
-    out = np.zeros((m, q + _ROW_PAD), dtype=complex)[:, :q]
+    out = np.zeros((rows, q))
     half = m * q // 2
     for r in range(rows):
         c1 = min(q, half + 1 - r * q)
-        out.real[r, :c1] = f((r * q + np.arange(c1)) * (TWO_PI / q))
+        out[r, :c1] = f((r * q + np.arange(c1)) * (TWO_PI / q))
     return out
-
-
-def _mirror_half(spec: np.ndarray, rows: int) -> None:
-    """Make the flat form of the real (M, Q) array even, in place: slot
-    p - i takes the value of slot i, for the slots i = 1 .. p/2 (p = M Q)
-    in the first ``rows`` rows."""
-    m, q = spec.shape
-    half = m * q // 2
-    for r in range(rows):
-        c1 = min(q, half + 1 - r * q)
-        # Slot r Q + c mirrors to (M - 1 - r, Q - c) for c >= 1 and to
-        # (M - r, 0) for c = 0 (slot 0 is its own mirror).
-        spec[m - 1 - r, q - c1 + 1 :] = spec[r, c1 - 1 : 0 : -1]
-        if r:
-            spec[m - r, 0] = spec[r, 0]
 
 
 def _mirror_residues(half: np.ndarray) -> np.ndarray:
@@ -438,15 +416,15 @@ def _mirror_residues(half: np.ndarray) -> np.ndarray:
 def _symbol_rows(spec: np.ndarray, tau: int, f, band: int) -> np.ndarray:
     """Rows 0 .. tau of the spectrum: ``f(2 pi (r + s / Q))`` in row r, column s.
 
-    ``_half_spectrum`` holds them whole for r < M//2; any rows from M//2 up
-    to tau are evaluated here.  With ``band`` <= tau, the rows stop at row
-    ``band``, which is -inf (the log of 0): ``f`` is then a log transform,
-    negligible from that row on.  Row ``band`` still has to be there, since
-    the fold reads shift -band from row band - 1.
+    ``spec`` holds the first rows whole; any rows past them up to tau are
+    evaluated here.  With ``band`` <= tau, the rows stop at row ``band``,
+    which is -inf (the log of 0): ``f`` is then a log transform, negligible
+    from that row on.  Row ``band`` still has to be there, since the fold
+    reads shift -band from row band - 1.
     """
-    m, q = spec.shape
+    q = spec.shape[1]
     last = min(tau, band - 1)
-    whole = min(last + 1, m // 2)
+    whole = min(last + 1, spec.shape[0])
     parts = [spec[:whole]]
     if whole <= last:
         slots = np.arange(whole, last + 1)[:, None] * q + np.arange(q)
@@ -482,33 +460,45 @@ def _log_fold_symbol(log_rows: np.ndarray) -> np.ndarray:
     return top + np.log(_fold_symbol(np.exp(log_rows - top)))
 
 
-def _ifft_even(a: np.ndarray) -> np.ndarray:
-    """Rows 0 .. M//2 of ``M * ifft(a.ravel())`` for an even sequence, in place.
+def _ifft_band(head: np.ndarray, m: int) -> np.ndarray:
+    """Rows 0 .. M//2 of ``M * ifft(x)``, x the even real sequence of length
+    p = M Q whose slots 0 .. p/2 are the flat (rows, Q) ``head``, then 0.
 
-    ``a`` is a complex (M, Q) array, Q a power of 2, whose flat form is
-    even: ``a.flat[i] == a.flat[p - i]`` (p = M Q).  Entry ``[t, j]`` of the
-    result is output ``j M + t``.  Writing the input index as ``Q r + s``
-    and the output index as ``j M + t``, the length-p transform splits into
-    length-M transforms down the columns, a twiddle ``exp(2 pi i s t / p)``
-    and length-Q transforms along the rows (the four-step FFT).  The output
-    of an even sequence is even, and output ``j M + t`` for t > M/2 equals
-    output ``(Q - 1 - j) M + (M - t)``, so only rows t <= M/2 go through the
-    last two steps.  The short transforms keep the FFT's own scratch small:
-    a table build allocates one large array, whose pages the next build
-    reuses instead of faulting them in again.
+    Entry ``[t, j]`` is output ``j M + t``.  With input index ``Q r + s``,
+    the transform splits into length-M transforms down the columns of x as
+    an (M, Q) array, a twiddle ``exp(2 pi i s t / p)`` and length-Q
+    transforms along the rows (the four-step FFT).  Output ``j M + t`` for
+    t > M/2 equals output ``(Q - 1 - j) M + (M - t)``, so only rows
+    t <= M/2 are formed.  Only head's rows and their mirrors are nonzero,
+    so the column step is a dense product with them (FFT pruning): row
+    M - r of x is ``g[r]``, whose exponent -r t / M pairs it with head's
+    row r, so the step is ``cos(2 pi r t / M) @ (head + g) + i sin(2 pi r t
+    / M) @ (head - g)``.  Slot p/2 is its own mirror and is left out of g.
     """
-    m, q = a.shape
-    p = m * q
-    fft.ifft(a, axis=0, norm="forward", overwrite_x=True)
-    rows = a[: m // 2 + 1]
+    rows, q = head.shape
+    p, half, h = m * q, m * q // 2, m // 2
+    ext = np.zeros((rows + 1, q))
+    ext[:rows] = head
+    # Slot p - i holds slot i: g[r] is head[r, 0] in column 0 and
+    # head[r - 1, Q - s] in column s >= 1.
+    g = np.zeros_like(ext)
+    g[1:, 0] = ext[1:, 0]
+    g[1:, 1:] = head[:, :0:-1]
+    if half < rows * q:
+        r = -(-half // q)
+        g[r, r * q - half] = 0.0
+    angle = (TWO_PI / m) * np.outer(np.arange(h + 1), np.arange(rows + 1))
+    out = np.empty((h + 1, q), dtype=complex)
+    np.matmul(np.cos(angle), ext + g, out=out.real)
+    np.matmul(np.sin(angle), ext - g, out=out.imag)
     # The twiddle factors as exp(2 pi i t s1 / p) * exp(2 pi i t K s2 / p)
-    # for s = s1 + K s2, so no (M, Q) array of it is formed.
+    # for s = s1 + K s2, so no (M//2 + 1, Q) array of it is formed.
     k = 1 << (q.bit_length() - 1) // 2
-    t = np.arange(rows.shape[0])[:, None]
-    view = rows.reshape(rows.shape[0], q // k, k)
+    t = np.arange(h + 1)[:, None]
+    view = out.reshape(h + 1, q // k, k)
     view *= np.exp((2j * math.pi / p) * (t * np.arange(k)))[:, None, :]
     view *= np.exp((2j * math.pi / p) * (t * (k * np.arange(q // k))))[:, :, None]
-    return fft.ifft(rows, axis=1, overwrite_x=True)
+    return fft.ifft(out, axis=1, overwrite_x=True)
 
 
 def _next_pow2(n: int) -> int:
@@ -555,8 +545,9 @@ def build_cardinal_table(
     # Lhat on xi = 2 pi m / Q, m in FFT order (p = Q M), laid out as an
     # (M, Q) array: column s holds the slots of symbol residue s, row r the
     # xi in [2 pi r, 2 pi (r + 1)).  Every family's transform depends on
-    # |xi| only, so Lhat is formed for m <= p/2, in the first M//2 + 1 rows,
-    # and then mirrored.  The symbol is folded from the same values.
+    # |xi| only, so Lhat is formed for m <= p/2, in the first M//2 + 1 rows;
+    # _ifft_band reads the mirrored slots from them.  The symbol is folded
+    # from the same values.
     # phihat/S is formed in log space: for wide kernels both numerator and
     # denominator underflow while their ratio is order one.
     #
@@ -571,17 +562,15 @@ def build_cardinal_table(
         k, TWO_PI * np.arange(1, reach + 1), _LOG_CUT - math.log(M)
     )
     rows = min(band, M // 2 + 1)
-    lhat = _half_spectrum(M, q, f, rows)
-    spec = lhat.real
-    head = spec[:rows]
+    head = _half_spectrum(M, q, f, rows)
+    # Row M//2 stops at slot p/2, so the fold takes only the rows before it.
+    head -= _log_fold_symbol(_symbol_rows(head[: M // 2], plan.tau, f, band))
     if rows == M // 2 + 1:
         head[-1, M * q // 2 - (M // 2) * q + 1 :] = -np.inf  # slots past p/2
-    head -= _log_fold_symbol(_symbol_rows(spec, plan.tau, f, band))
     head[head < _LOG_TINY] = -np.inf
     np.exp(head, out=head)
-    _mirror_half(spec, rows)
 
-    vals = _ifft_even(lhat)
+    vals = _ifft_band(head, M)
     imag = vals.imag
     imag_max = max(float(imag.max()), -float(imag.min()))
     if not imag_max <= 1e-10:
@@ -593,7 +582,7 @@ def build_cardinal_table(
 
 def _read_table(vals: np.ndarray, n: int, m: int) -> np.ndarray:
     """L(i / M), i = -N M .. N M, symmetrized, from the (M//2 + 1, Q) output
-    of :func:`_ifft_even`.
+    of :func:`_ifft_band`.
 
     Output i = j M + t is entry [t, j] for t <= M/2, and entry
     [M - t, Q - 1 - j] for t > M/2.  Output p - i (p = M Q), which is
@@ -617,19 +606,26 @@ def _lagrange(values: np.ndarray, base: np.ndarray, s: np.ndarray, order: int) -
     """Lagrange rule through ``values[base + i]``, i < order, at offset ``s`` from base.
 
     ``order`` is 4 (cubic) or 2 (linear).  Stencil indices outside
-    ``values`` read its nearest end value.
+    ``values`` read its nearest end value.  The stencil is one gather into
+    an (order, ...) array.  Weight i is the product of ``s - j`` over the
+    nodes j != i over its value at s = i, so it is exactly 1 at node i and
+    0 at the others.
     """
-
-    def v(i):
-        return np.take(values, base + i, mode="clip")
-
-    if order == 2:
-        return (1.0 - s) * v(0) + s * v(1)
-    w0 = -(s - 1.0) * (s - 2.0) * (s - 3.0) / 6.0
-    w1 = s * (s - 2.0) * (s - 3.0) / 2.0
-    w2 = -s * (s - 1.0) * (s - 3.0) / 2.0
-    w3 = s * (s - 1.0) * (s - 2.0) / 6.0
-    return v(0) * w0 + v(1) * w1 + v(2) * w2 + v(3) * w3
+    nodes = np.arange(order).reshape((order,) + (1,) * max(np.ndim(base), 1))
+    stencil = np.take(values, base + nodes, mode="clip")
+    d = s - nodes
+    # w[i] = prod of d[j], j != i: prefix products, then suffix ones (in w[0]).
+    w = np.empty_like(d)
+    w[1] = d[0]
+    for i in range(2, order):
+        np.multiply(w[i - 1], d[i - 1], out=w[i])
+    w[0] = d[-1]
+    for i in range(order - 2, 0, -1):
+        w[i] *= w[0]
+        w[0] *= d[i]
+    w /= _AT_NODE[order].reshape(nodes.shape)
+    w *= stencil
+    return w.sum(axis=0).reshape(np.shape(base))
 
 
 def eval_cardinal(t: CardinalTable, x):

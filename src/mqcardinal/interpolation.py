@@ -104,7 +104,7 @@ def _grid_half_count(nodes: np.ndarray) -> int:
     if nodes.size % 2 == 0:
         raise GridMismatchError("uniform grid must have an odd number of nodes")
     n = (nodes.size - 1) // 2
-    if n == 0 or not np.allclose(nodes, np.arange(-n, n + 1) / n, rtol=0, atol=1e-12):
+    if n == 0 or not np.max(np.abs(nodes - np.arange(-n, n + 1) / n)) <= 1e-12:
         raise GridMismatchError("nodes are not the uniform grid {j/N : |j| <= N}")
     return n
 
@@ -149,9 +149,12 @@ def eval_uniform(u: UniformInterpolant, x):
     order = t.interp_order
     conv = series_samples(t, u.coeffs)
     # conv[i] is the series at N x = (i - _SERIES_PAD) / M - N_t - J.
+    # Probes past either end, NaN (sent to the top) and +-inf take stencils
+    # that read only the zero end samples.
     x_arr = np.asarray(x, dtype=float)
-    pos = (u.N * x_arr + (t.half_width_N + u.half_count)) * t.oversample_M + _SERIES_PAD
-    pos = np.where(np.isfinite(pos), np.clip(pos, -order, conv.size + order), -order)
+    pos = np.asarray((u.N * x_arr + (t.half_width_N + u.half_count)) * t.oversample_M + _SERIES_PAD)
+    np.fmin(pos, conv.size + order, out=pos)
+    np.fmax(pos, -order, out=pos)
     base = np.floor(pos).astype(int) - (order // 2 - 1)
     out = _lagrange(conv, base, pos - base, order)
     return float(out) if out.ndim == 0 else out

@@ -6,6 +6,7 @@ generic parameters.
 """
 
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -20,9 +21,8 @@ from mqcardinal.cardinal import (
     TWO_PI,
     _fold_symbol,
     _half_spectrum,
-    _ifft_even,
+    _ifft_band,
     _log_fold_symbol,
-    _mirror_half,
     _read_table,
     _symbol_rows,
     _symbol_terms,
@@ -85,11 +85,14 @@ class TestComputeTau:
             with pytest.raises(DomainError):
                 mq.compute_tau(mq.poisson(1.0), bad)
 
-    @pytest.mark.parametrize("alpha, c", [(-200.0, 1.0), (-3.0, 1e-120), (-0.75, 1e-5)])
+    @pytest.mark.parametrize(
+        "alpha, c", [(-200.0, 1.0), (-3.0, 1e-120), (-0.75, 1e-5), (-1.5, 1e-150)]
+    )
     def test_overflowing_constants_are_typed(self, alpha, c):
         # Gamma(200) overflows, 1e-120 ** -5 overflows, exp(1 / (32 pi 1e-5))
+        # overflows, and the alpha < -1 tail envelope's exp(1 / (2 c r))
         # overflows: each is a numerical failure with a hint, not a bare
-        # OverflowError.
+        # OverflowError or RuntimeWarning.
         k = mq.multiquadric(alpha, c)
         with pytest.raises(KernelOverflowError, match="larger c") as exc:
             mq.compute_tau(k, 1e-10)
@@ -228,14 +231,14 @@ class TestSymbolFold:
         plan = mq.compute_tau(k, eps)
         q = 64
         f = lambda xi: mq.kernel_fourier(k, xi)
-        spec = _half_spectrum(m, q, f, m // 2 + 1).real
+        spec = _half_spectrum(m, q, f, m // 2)
         got = _fold_symbol(_symbol_rows(spec, plan.tau, f, plan.tau + 1))
         want = _symbol_terms(plan.kernel, plan.tau, self.residues(q))
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     def test_rows_past_half_are_evaluated(self):
         f = lambda xi: 1.0 + xi
-        spec = _half_spectrum(6, 8, f, 4).real
+        spec = _half_spectrum(6, 8, f, 3)
         rows = _symbol_rows(spec, 4, f, 5)
         assert rows.shape == (5, 8)
         r, s = np.mgrid[0:5, 0:8]
@@ -247,7 +250,7 @@ class TestSymbolFold:
         plan = mq.compute_tau(mq.gaussian(lam), 1e-16)
         q = 128
         f = lambda xi: -xi * xi / (4.0 * lam)
-        spec = _half_spectrum(m, q, f, m // 2 + 1).real
+        spec = _half_spectrum(m, q, f, m // 2)
         got = _log_fold_symbol(_symbol_rows(spec, plan.tau, f, plan.tau + 1))
         shifts = TWO_PI * np.arange(-plan.tau, plan.tau + 1)
         expo = f(self.residues(q)[:, None] + shifts[None, :])
@@ -466,6 +469,70 @@ class TestCardinalTable:
             t.values[0] = 2.0
 
 
+def four_weight_lagrange(values, base, s, order):
+    """The hand-written cubic and linear rules, one clipped gather per point."""
+
+    def v(i):
+        return np.take(values, base + i, mode="clip")
+
+    if order == 2:
+        return (1.0 - s) * v(0) + s * v(1)
+    w0 = -(s - 1.0) * (s - 2.0) * (s - 3.0) / 6.0
+    w1 = s * (s - 2.0) * (s - 3.0) / 2.0
+    w2 = -s * (s - 1.0) * (s - 3.0) / 2.0
+    w3 = s * (s - 1.0) * (s - 2.0) / 6.0
+    return v(0) * w0 + v(1) * w1 + v(2) * w2 + v(3) * w3
+
+
+class TestStencil:
+    """The one-gather Lagrange stencil against the four-weight formulas."""
+
+    @pytest.fixture(scope="class", params=[4, 2])
+    def table(self, request):
+        t = mq.build_cardinal_table(mq.poisson(1.0), 1e-8, 16, 8)
+        return mq.CardinalTable(t.kernel, 16, 8, t.values, t.epsilon, request.param)
+
+    def test_eval_uniform(self, table):
+        rng = np.random.default_rng(table.interp_order)
+        u = mq.cardinal_series(rng.standard_normal(9), 4, table)
+        t, order = u.table, table.interp_order
+        conv = cardinal.series_samples(t, u.coeffs)
+        reach = (t.half_width_N + u.half_count) / u.N
+        edge = reach + np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]) / (u.N * t.oversample_M)
+        far = [2.0 * reach, -2.0 * reach, np.nan, np.inf, -np.inf]
+        x = np.concatenate((rng.uniform(-reach, reach, 200), edge, -edge, far))
+        pos = (u.N * x + (t.half_width_N + u.half_count)) * t.oversample_M + cardinal._SERIES_PAD
+        pos = np.where(np.isfinite(pos), np.clip(pos, -order, conv.size + order), -order)
+        base = np.floor(pos).astype(int) - (order // 2 - 1)
+        want = four_weight_lagrange(conv, base, pos - base, order)
+        got = mq.eval_uniform(u, x)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(conv)))
+        # Probes past every term and non-finite probes read exact zeros.
+        assert np.all(got[-5:] == 0.0)
+        # On the sample grid the weights are exactly 0 and 1.  N = 4 and
+        # M = 8, so these probes map to whole sample positions exactly.
+        i = np.arange(2, conv.size - 2)
+        x_grid = ((i - cardinal._SERIES_PAD) / t.oversample_M - t.half_width_N - u.half_count) / u.N
+        np.testing.assert_array_equal(mq.eval_uniform(u, x_grid), conv[i])
+
+    def test_eval_cardinal(self, table):
+        t, order = table, table.interp_order
+        n, m = t.half_width_N, t.oversample_M
+        rng = np.random.default_rng(order)
+        x = np.concatenate((rng.uniform(-n, n, 200), [-n, n, -n + 0.3 / m, n - 0.3 / m]))
+        x = np.concatenate((x, n - np.array([1.0, 1.5, 2.0, 2.5]) / m))
+        u = np.clip(x * m + n * m, 0.0, 2.0 * n * m)
+        base = np.clip(np.floor(u).astype(int) - (order // 2 - 1), 0, t.values.size - order)
+        want = four_weight_lagrange(t.values, base, u - base, order)
+        got = mq.eval_cardinal(t, x)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(t.values)))
+        # The clipped edge stencils return the end values exactly.
+        assert got[200] == t.values[0] and got[201] == t.values[-1]
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(OutOfRangeError):
+                mq.eval_cardinal(t, bad)
+
+
 class TestWideKernels:
     """Kernels so wide that phihat and the symbol underflow on the table grid."""
 
@@ -510,44 +577,60 @@ class TestWideKernels:
         assert np.max(np.abs(t.values[::m] - delta)) <= eps
 
 
-class TestTableTransform:
-    """The table build's spectrum layout and its four-step inverse FFT."""
+def even_flat(head, m):
+    """The even length-p sequence whose slots 0 .. p/2 are head's flat form."""
+    p = m * head.shape[1]
+    half = np.zeros(p // 2 + 1)
+    filled = head.ravel()[: p // 2 + 1]
+    half[: filled.size] = filled
+    return np.concatenate((half, half[1 : (p + 1) // 2][::-1]))
 
-    @pytest.mark.parametrize("m, q", [(4, 16), (5, 32), (24, 2048), (64, 4096)])
+
+class TestTableTransform:
+    """The table build's spectrum layout and its pruned four-step inverse FFT."""
+
+    @pytest.mark.parametrize("m, q", [(4, 16), (5, 32), (6, 16), (7, 64), (24, 2048), (64, 4096)])
     def test_ifft_even_matches_numpy(self, m, q):
+        # Every row count from 1 to M//2 + 1.  At M//2 + 1 the mirror of row
+        # M//2 - 1 (even M) or M//2 (odd M) lands in a filled row, and slot
+        # p/2 is its own mirror: a random value there counted twice fails.
         p = m * q
         rng = np.random.default_rng(p)
-        half = rng.standard_normal(p // 2 + 1) + 1j * rng.standard_normal(p // 2 + 1)
-        flat = np.concatenate((half, half[1 : (p + 1) // 2][::-1]))
-        want = (m * np.fft.ifft(flat)).reshape(q, m).T[: m // 2 + 1]
-        got = _ifft_even(flat.reshape(m, q).copy())
-        # Entry [t, j] holds output j M + t, for rows t <= M/2.
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
-
-    def test_ifft_even_writes_into_its_argument(self):
-        a = np.ones((8, 64), dtype=complex)
-        assert np.shares_memory(_ifft_even(a), a)
+        for rows in range(1, m // 2 + 2):
+            head = rng.standard_normal((rows, q))
+            head.ravel()[p // 2 + 1 :] = 0.0
+            flat = even_flat(head, m)
+            want = (m * np.fft.ifft(flat)).reshape(q, m).T[: m // 2 + 1]
+            got = _ifft_band(head, m)
+            # Entry [t, j] holds output j M + t, for rows t <= M/2.
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("m", [5, 6])
     def test_even_spectrum_layout(self, m):
         q = 16
-        spec = _half_spectrum(m, q, lambda xi: 1.0 + xi, m // 2 + 1)
-        flat = spec.reshape(-1)
         p = m * q
-        assert spec.shape == (m, q)
-        assert np.all(flat[p // 2 + 1 :] == 0.0)
-        _mirror_half(spec.real, m // 2 + 1)
+        spec = _half_spectrum(m, q, lambda xi: 1.0 + xi, m // 2 + 1)
+        assert spec.shape == (m // 2 + 1, q) and spec.dtype == float
         flat = spec.reshape(-1)
-        assert np.all(flat.imag == 0.0)
-        assert flat.real[0] == 1.0
-        i = np.arange(1, p // 2 + 1)
-        np.testing.assert_array_equal(flat.real[i], 1.0 + i * (TWO_PI / q))
-        np.testing.assert_array_equal(flat.real[p - i], flat.real[i])
-        # The transform runs in place on the padded rows the spectrum uses.
-        want = (m * np.fft.ifft(flat)).reshape(q, m).T[: m // 2 + 1]
-        got = _ifft_even(spec)
-        assert np.shares_memory(got, spec)
+        i = np.arange(p // 2 + 1)
+        np.testing.assert_array_equal(flat[i], 1.0 + i * (TWO_PI / q))
+        assert np.all(flat[p // 2 + 1 :] == 0.0)
+        want = (m * np.fft.ifft(even_flat(spec, m))).reshape(q, m).T[: m // 2 + 1]
+        got = _ifft_band(spec, m)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+    def test_build_peak_memory(self):
+        # A complex (M, Q) spectrum alone is 3 MiB here, so the build must
+        # not form one.
+        k = mq.poisson(3.0)
+        mq.build_cardinal_table(k, 1e-12, 512, 48)
+        tracemalloc.start()
+        try:
+            mq.build_cardinal_table(k, 1e-12, 512, 48)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 class TestSpectrumBand:
