@@ -3,9 +3,11 @@
 The cardinal function L associated with a kernel phi is defined in the
 Fourier domain as ``Lhat(xi) = phihat(xi) / S(xi)`` where
 ``S(xi) = sum_k phihat(xi + 2 pi k)`` is the 2 pi-periodized symbol.  The
-periodization is truncated to ``2 tau + 1`` terms, with tau chosen so the
-truncation carries relative error at most epsilon; L itself is then sampled
-on a uniform grid by an inverse FFT and evaluated off-grid by local
+symbol functions truncate the periodization to ``2 tau + 1`` terms, with
+tau chosen so the truncation carries relative error at most epsilon.  The
+table build needs no tau: it samples Lhat only up to the band where the
+transform falls below rounding, folds the symbol from those same samples,
+and inverts them with an FFT; L is then evaluated off-grid by local
 polynomial interpolation.
 """
 
@@ -31,7 +33,7 @@ from .kernels import (
     Kernel,
     _exp_transform,
     _finite_constant,
-    kernel_fourier,
+    _overflow_error,
     log_kernel_fourier,
 )
 
@@ -56,12 +58,15 @@ _SERIES_PAD = 2
 _LOG_TINY = math.log(np.finfo(float).tiny)
 # Log of 2^-60.  Spectrum rows and symbol shifts whose transform values are
 # below this share of phihat(pi) (split over the terms they add to) are not
-# evaluated; see _first_negligible.
+# evaluated; see _log_shares.
 _LOG_CUT = -60.0 * math.log(2.0)
 # Lagrange weight i's product of (s - j), j != i, at its own node s = i, by order.
 _AT_NODE = {2: np.array([-1.0, 1.0]), 4: np.array([-6.0, 2.0, -2.0, 6.0])}
-# Shifts the gaussian tau rule sums at most (lambda up to about 1e11).
-_MAX_GAUSSIAN_SHIFTS = 1 << 20
+# Shifts the gaussian and poisson tau rules sum at most (gaussian lambda up
+# to about 1e11, poisson c down to about 1e-5), and rows the table build's
+# band search reaches at most.
+_MAX_SHIFTS = 1 << 20
+_TOO_SLOW = "kernel transform decays too slowly to tabulate"
 
 
 @dataclass(frozen=True)
@@ -92,10 +97,13 @@ def _mq_tail_prefactor(k: Kernel) -> float:
 
 
 def _phihat_envelope(k: Kernel, r: np.ndarray) -> np.ndarray:
-    # In log space: for a tiny c the factor e^(nu^2 / (2 c r)) alone overflows.
+    # In log space: for a tiny c the factor e^(nu^2 / (2 c r)) alone
+    # overflows, and for a large c the prefactor's c^alpha underflows.
     alpha, c = k.alpha, k.c
     nu = alpha + 0.5
-    log_lam = math.log(_mq_tail_prefactor(k))
+    log_lam = (
+        (1.0 + alpha) * math.log(2.0) - math.lgamma(-alpha) + alpha * math.log(c) + math.log(TWO_PI)
+    )
     return _exp_transform(k, log_lam + (-alpha - 1.0) * np.log(r) - c * r + nu * nu / (2.0 * c * r))
 
 
@@ -109,8 +117,11 @@ def _symbol_terms(k: Kernel, tau: int, xi_star: np.ndarray, log_scale=0.0) -> np
     args = np.add.outer(TWO_PI * np.arange(-tau, tau + 1), xi_star)
     vals = _exp_transform(k, log_kernel_fourier(k, args) - log_scale)
     total = np.zeros_like(xi_star)
-    for row in vals:
-        total += row
+    with np.errstate(over="ignore"):
+        for row in vals:
+            total += row
+    if np.any(np.isinf(total)):
+        raise _overflow_error(k, "the periodized symbol")
     return total
 
 
@@ -120,9 +131,9 @@ def _empirical_symbol_min(k: Kernel, tau0: int = 50, grid: int = 512) -> float:
     # phihat(2 pi j - pi) below 2^-60 / (2 tau0 + 1) of phihat(pi) on add
     # less than 2^-60 of the sum together, and are left out.
     xs = (-math.pi + TWO_PI * (np.arange(grid) + 1.0) / grid)[grid // 2 - 1 :]
-    shifts = TWO_PI * np.arange(1, tau0 + 1) - math.pi
-    tau = _first_negligible(k, shifts, _LOG_CUT - math.log(2 * tau0 + 1))
-    return float(_symbol_terms(k, tau, xs).min())
+    shares = _log_shares(k, TWO_PI * np.arange(1, tau0 + 1) - math.pi)
+    hit = np.flatnonzero(shares < _LOG_CUT - math.log(2 * tau0 + 1))
+    return float(_symbol_terms(k, int(hit[0]) if hit.size else tau0, xs).min())
 
 
 def _gaussian_tail_tau(lam: float, epsilon: float) -> int:
@@ -137,29 +148,34 @@ def _gaussian_tail_tau(lam: float, epsilon: float) -> int:
     """
     a = math.pi**2 / lam
     last = math.ceil(math.sqrt((40.0 - math.log(epsilon / 2.0)) / a)) + 2
-    if last > _MAX_GAUSSIAN_SHIFTS:
+    if last > _MAX_SHIFTS:
         raise UnsupportedKernelError(
             f"gaussian lambda={lam:g} is too narrow: its symbol needs over "
-            f"{_MAX_GAUSSIAN_SHIFTS} shifts"
+            f"{_MAX_SHIFTS} shifts; use a smaller lambda"
         )
     j = np.arange(2.0, last + 1.0)  # the j = 1 term, 1, never meets epsilon
     tail = np.cumsum(np.exp(-j * (j - 1.0) * a)[::-1])[::-1]  # tail[t] = sum_{j > t + 1}
     return 1 + int(np.argmax(2.0 * tail <= epsilon))
 
 
-def _first_negligible(k: Kernel, xi: np.ndarray, log_share: float) -> int:
-    """Index of the first frequency in the increasing array ``xi`` (all
-    >= pi) where ``phihat(xi) < exp(log_share) * phihat(pi)``; ``xi.size``
-    if there is none.
+def _log_shares(k: Kernel, xi: np.ndarray) -> np.ndarray:
+    """``log(phihat(xi) / phihat(pi))`` on an array of frequencies.
 
     phihat decreases in |xi| for every family, and every symbol value
-    S(xi*), |xi*| <= pi, has the term phihat(xi*) >= phihat(pi).  So from
-    that index on, each transform value is below ``exp(log_share)`` of any
-    symbol value.
+    S(xi*), |xi*| <= pi, has the term phihat(xi*) >= phihat(pi).  So where
+    the share at |xi| >= pi is below some exp(s), so is each transform value
+    past it, against any symbol value.  A phihat(pi) whose log is +inf (a
+    Bessel factor that overflows at a tiny c pi) raises KernelOverflowError.
     """
     logs = log_kernel_fourier(k, np.concatenate(([math.pi], xi)))
-    hit = np.flatnonzero(logs[1:] - logs[0] < log_share)
-    return int(hit[0]) if hit.size else xi.size
+    if logs[0] == math.inf:
+        raise _overflow_error(k, "the transform")
+    return logs[1:] - logs[0]
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not (0.0 < epsilon < 1.0):
+        raise DomainError("epsilon must lie in (0, 1)")
 
 
 def compute_tau(k: Kernel, epsilon: float) -> TruncationPlan:
@@ -172,8 +188,7 @@ def compute_tau(k: Kernel, epsilon: float) -> TruncationPlan:
     for the gaussian the larger of a linear-in-log(eps) rule and the
     lambda-dependent tail bound of :func:`_gaussian_tail_tau`.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise DomainError("epsilon must lie in (0, 1)")
+    _check_epsilon(epsilon)
 
     if k.family == GAUSSIAN:
         tau = max(
@@ -191,8 +206,15 @@ def compute_tau(k: Kernel, epsilon: float) -> TruncationPlan:
     if k.alpha == -1.0:
         gamma = math.pi / c
         d_lower = 1.0 / (2.0 * c * math.sqrt(2.0))
-        tau = math.ceil(1.0 + math.log(gamma / epsilon) / (TWO_PI * c))
-        return TruncationPlan(k, epsilon, max(1, tau), gamma, d_lower)
+        # log(gamma / epsilon) as a difference: gamma / epsilon overflows
+        # for a tiny c.
+        tau = 1.0 + (math.log(gamma) - math.log(epsilon)) / (TWO_PI * c)
+        if tau > _MAX_SHIFTS:
+            raise UnsupportedKernelError(
+                f"poisson c={c:g} is too wide: its symbol needs over {_MAX_SHIFTS} "
+                "shifts; use a larger c"
+            )
+        return TruncationPlan(k, epsilon, max(1, math.ceil(tau)), gamma, d_lower)
 
     if k.alpha > -1.0:
         lam = _mq_tail_prefactor(k)
@@ -392,19 +414,24 @@ def series_samples(t: CardinalTable, coeffs: np.ndarray) -> np.ndarray:
     return conv
 
 
-def _half_spectrum(m: int, q: int, f, rows: int) -> np.ndarray:
-    """First half of an even real spectrum in FFT order, a real (rows, Q) array.
+def _alias(rows: np.ndarray, m: int) -> np.ndarray:
+    """Slots 0 .. p/2 (p = M Q), as rows 0 .. M//2, of the 2 pi M-periodic sum
+    of the even spectrum on the flat slots of ``rows``; rows that end
+    before slot p/2 are returned as they are.
 
-    Flat slots i = 0 .. p/2 (p = M Q) in the first ``rows`` rows (at most
-    M//2 + 1, which hold them all) hold ``f(2 pi i / Q)``; any slots past
-    p/2 are 0.  ``f`` is called on one row of Q frequencies at a time.
+    Sampling L at spacing 1/M sums its transform over the shifts 2 pi M k:
+    flat slot i adds into slot i mod p, or into p - (i mod p) past p/2.
+    Slots 0 and p/2 take slots p/2, p, 3p/2, ... from both signs of xi.
     """
-    out = np.zeros((rows, q))
-    half = m * q // 2
-    for r in range(rows):
-        c1 = min(q, half + 1 - r * q)
-        out[r, :c1] = f((r * q + np.arange(c1)) * (TWO_PI / q))
-    return out
+    q = rows.shape[1]
+    p = m * q
+    if rows.size <= p // 2:
+        return rows
+    i = np.arange(rows.size) % p
+    weights = rows.ravel().copy()
+    weights[p // 2 :: p // 2] *= 2.0
+    out = np.bincount(np.minimum(i, p - i), weights, (m // 2 + 1) * q)
+    return out.reshape(-1, q)
 
 
 def _mirror_residues(half: np.ndarray) -> np.ndarray:
@@ -413,34 +440,25 @@ def _mirror_residues(half: np.ndarray) -> np.ndarray:
     return np.concatenate((half, half[-2:0:-1]))
 
 
-def _symbol_rows(spec: np.ndarray, tau: int, f, band: int) -> np.ndarray:
-    """Rows 0 .. tau of the spectrum: ``f(2 pi (r + s / Q))`` in row r, column s.
+def _symbol_rows(q: int, f, band: int) -> np.ndarray:
+    """Rows 0 .. band of the log spectrum: ``f(2 pi (r + s / Q))`` in row r,
+    column s, for r < band, and row ``band`` -inf (the log of 0).
 
-    ``spec`` holds the first rows whole; any rows past them up to tau are
-    evaluated here.  With ``band`` <= tau, the rows stop at row ``band``,
-    which is -inf (the log of 0): ``f`` is then a log transform, negligible
-    from that row on.  Row ``band`` still has to be there, since the fold
-    reads shift -band from row band - 1.
+    The fold reads the shift j = band of every residue from row band, at or
+    past frequency 2 pi band, and the shift -band of a residue s >= 1 from
+    row band - 1, below it: so it sums exactly the shifts below 2 pi band.
     """
-    q = spec.shape[1]
-    last = min(tau, band - 1)
-    whole = min(last + 1, spec.shape[0])
-    parts = [spec[:whole]]
-    if whole <= last:
-        slots = np.arange(whole, last + 1)[:, None] * q + np.arange(q)
-        parts.append(f(slots * (TWO_PI / q)))
-    if last < tau:
-        parts.append(np.full((1, q), -np.inf))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    slots = np.arange(band * q).reshape(band, q)
+    return np.concatenate((f(slots * (TWO_PI / q)), np.full((1, q), -np.inf)))
 
 
 def _fold_symbol(rows: np.ndarray) -> np.ndarray:
-    """Truncated symbol on the Q residues 2 pi s / Q from spectrum rows 0 .. tau.
+    """Truncated symbol on the Q residues 2 pi s / Q from spectrum rows 0 .. T.
 
     Row r holds phihat(2 pi (r + s / Q)) in column s.  For s <= Q/2 the
     shift j >= 0 is row j of column s, and the shift j < 0 is row |j| - 1
     of column Q - s, or row |j| of column 0 when s = 0.  Each sum runs
-    from the smallest terms, row tau, up to row 0.
+    from the smallest terms, row T, up to row 0.
     """
     h = rows.shape[1] // 2
     half = rows[::-1, : h + 1].sum(axis=0)
@@ -449,15 +467,18 @@ def _fold_symbol(rows: np.ndarray) -> np.ndarray:
     return _mirror_residues(half)
 
 
-def _log_fold_symbol(log_rows: np.ndarray) -> np.ndarray:
-    """``log(_fold_symbol(exp(log_rows)))`` with no under- or overflow.
+def _log_cardinal(log_rows: np.ndarray) -> np.ndarray:
+    """``log(phihat / S)`` in place on the rows of a log spectrum, with S
+    folded from them by :func:`_fold_symbol`, and no under- or overflow.
 
     The largest term of residue s is row 0 at column min(s, Q - s); each
-    residue's terms are scaled by it before the sum, and it is added back
-    after the log.
+    residue's terms are divided by it before the sum.  So log S itself is
+    never formed: for a wide kernel it is so large that a factor of 2 in S
+    rounds away in it.
     """
-    top = _mirror_residues(log_rows[0, : log_rows.shape[1] // 2 + 1])
-    return top + np.log(_fold_symbol(np.exp(log_rows - top)))
+    log_rows -= _mirror_residues(log_rows[0, : log_rows.shape[1] // 2 + 1])
+    log_rows -= np.log(_fold_symbol(np.exp(log_rows)))
+    return log_rows
 
 
 def _ifft_band(head: np.ndarray, m: int) -> np.ndarray:
@@ -505,14 +526,41 @@ def _next_pow2(n: int) -> int:
     return 1 << (int(n) - 1).bit_length()
 
 
-def _required_bandwidth(k: Kernel, plan: TruncationPlan, s_zero: float) -> float:
-    threshold = plan.epsilon * 1e-2 * s_zero
-    xi = math.pi
-    while kernel_fourier(k, xi) >= threshold:
-        xi *= 2.0
-        if xi > 1e9:
-            raise BandwidthError("kernel transform decays too slowly to tabulate")
-    return xi
+def _spectrum_band(k: Kernel, epsilon: float, m: int) -> int:
+    """The band of a table's spectrum with M = ``m``, after the bandwidth check.
+
+    The band is the first row r >= 1 where phihat(2 pi r) is below 2^-60 / M
+    of phihat(pi), so of Lhat (see _log_shares).  From it on, no spectrum
+    row or symbol shift is evaluated: the fewer than M Q slots left 0 move
+    the table by under 2^-60.  The search reads rows up to the first of
+    M//2, M, 2M, ... (at most _MAX_SHIFTS) past the band.  The same values
+    give S(0), from phihat(0) and 2 phihat(2 pi r) below the band.  The
+    grid edge pi M must be below 1e-2 epsilon S(0), or BandwidthError
+    suggests the first M = 2^j, pi 2^j <= 1e9, whose edge is.
+    """
+    _check_epsilon(epsilon)
+    cut = _LOG_CUT - math.log(m)
+    probe = (m // 2) << np.arange((_MAX_SHIFTS // (m // 2)).bit_length())
+    # xi = 0 goes first, so a transform singular there raises SingularityError.
+    past = np.flatnonzero(_log_shares(k, TWO_PI * np.append(0, probe))[1:] < cut)
+    if not past.size:
+        raise BandwidthError(_TOO_SLOW)
+    # shares[r] is row r's for r = 0 .. reach, and shares[-1] the edge's.
+    shares = _log_shares(k, np.append(TWO_PI * np.arange(probe[past[0]] + 1), math.pi * m))
+    band = 1 + int(np.argmax(shares[1:] < cut))
+    log_s0 = shares[0] + math.log1p(2.0 * np.exp(shares[1:band] - shares[0]).sum())
+    level = math.log(1e-2 * epsilon) + log_s0
+    if shares[-1] >= level:
+        below = np.flatnonzero(_log_shares(k, math.pi * 2.0 ** np.arange(29)) < level)
+        if not below.size:
+            raise BandwidthError(_TOO_SLOW)
+        need = 1 << int(below[0])
+        raise BandwidthError(
+            f"spectral grid edge pi*M = {math.pi * m:.3g} is inside the active band; "
+            f"increase M to at least {need}",
+            suggested_m=need,
+        )
+    return band
 
 
 def build_cardinal_table(
@@ -520,57 +568,30 @@ def build_cardinal_table(
 ) -> CardinalTable:
     """Sample the cardinal function L on [-N, N] at spacing 1/M via an FFT.
 
-    The transform ``Lhat = phihat / S_tau`` is sampled on a frequency grid
+    The transform ``Lhat = phihat / S`` is sampled on a frequency grid
     commensurate with the 2 pi periodization (spacing ``2 pi / Q`` for an
     integer Q), which makes the inverse DFT reproduce the cardinal property
-    ``L(j) = delta_{0 j}`` at integers up to the truncation tolerance.
+    ``L(j) = delta_{0 j}`` at integers up to rounding.  S is folded from
+    every shift below the band (see :func:`_spectrum_band`).
     """
     if N < 4 or M < 4:
         raise DomainError("table requires N >= 4 and M >= 4")
-    plan = compute_tau(k, epsilon)
-
+    band = _spectrum_band(k, epsilon, M)
     q = _next_pow2(max(_MIN_PERIOD, _PERIOD_FACTOR * N))
-    s_zero = float(_symbol_terms(k, plan.tau, np.zeros(1))[0])
 
-    # The grid must cover the band where Lhat is above tolerance.
-    xi_edge = math.pi * M
-    if kernel_fourier(k, xi_edge) >= plan.epsilon * 1e-2 * s_zero:
-        need = _required_bandwidth(k, plan, s_zero)
-        raise BandwidthError(
-            f"spectral grid edge pi*M = {xi_edge:.3g} is inside the active band; "
-            f"increase M to at least {math.ceil(need / math.pi)}",
-            suggested_m=math.ceil(need / math.pi),
-        )
+    # log phihat on xi = 2 pi m / Q for the slots m below the band, as a
+    # (band, Q) array: column s holds the slots of symbol residue s, row r
+    # the xi in [2 pi r, 2 pi (r + 1)).  The symbol is folded from the same
+    # values, and Lhat = phihat / S is formed in log space: for wide kernels
+    # both numerator and denominator underflow while their ratio is order
+    # one.  Every family's transform depends on |xi| only, so the table's
+    # spectrum, of length p = M Q in FFT order, is even: _alias sums Lhat
+    # into its slots 0 .. p/2, and _ifft_band reads the mirrored slots.
+    rows = _log_cardinal(_symbol_rows(q, partial(log_kernel_fourier, k), band))
+    rows[rows < _LOG_TINY] = -np.inf
+    np.exp(rows, out=rows)
 
-    # Lhat on xi = 2 pi m / Q, m in FFT order (p = Q M), laid out as an
-    # (M, Q) array: column s holds the slots of symbol residue s, row r the
-    # xi in [2 pi r, 2 pi (r + 1)).  Every family's transform depends on
-    # |xi| only, so Lhat is formed for m <= p/2, in the first M//2 + 1 rows;
-    # _ifft_band reads the mirrored slots from them.  The symbol is folded
-    # from the same values.
-    # phihat/S is formed in log space: for wide kernels both numerator and
-    # denominator underflow while their ratio is order one.
-    #
-    # Lhat <= phihat(2 pi r) / phihat(pi) on row r >= 1 (see
-    # _first_negligible), so from the first row where that is below
-    # 2^-60 / M, the band, neither the rows nor the symbol shifts they hold
-    # are evaluated.  The slots left 0, fewer than M Q, each move a table
-    # value by under 2^-60 / (M Q), so all of them by under 2^-60.
-    f = partial(log_kernel_fourier, k)
-    reach = max(M // 2, plan.tau)
-    band = 1 + _first_negligible(
-        k, TWO_PI * np.arange(1, reach + 1), _LOG_CUT - math.log(M)
-    )
-    rows = min(band, M // 2 + 1)
-    head = _half_spectrum(M, q, f, rows)
-    # Row M//2 stops at slot p/2, so the fold takes only the rows before it.
-    head -= _log_fold_symbol(_symbol_rows(head[: M // 2], plan.tau, f, band))
-    if rows == M // 2 + 1:
-        head[-1, M * q // 2 - (M // 2) * q + 1 :] = -np.inf  # slots past p/2
-    head[head < _LOG_TINY] = -np.inf
-    np.exp(head, out=head)
-
-    vals = _ifft_band(head, M)
+    vals = _ifft_band(_alias(rows[:-1], M), M)
     imag = vals.imag
     imag_max = max(float(imag.max()), -float(imag.min()))
     if not imag_max <= 1e-10:

@@ -41,15 +41,10 @@ from .sampling import NoiseSpec
 
 _STUDIES = ("c-conv", "h-conv", "noise", "jitter", "conditioning")
 
-# Keys accepted from a JSON config file, shared across subcommands.
-_CONFIG_KEYS = {
-    "family", "alpha", "c", "lam", "eps", "N", "M", "seed", "out", "cache",
-    "study", "delta", "jitter", "pattern", "degree", "tag", "samples",
-    "probe", "mode", "order",
-}
 
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The parser, and the option of each key a JSON config may set: every
+    subcommand's options but --config, shared across subcommands."""
     parser = argparse.ArgumentParser(
         prog="mqcardinal",
         description="Cardinal-function interpolation with multiquadric, "
@@ -92,11 +87,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--pattern")
     p_study.add_argument("--degree", type=int, help="B-spline degree for h-conv/noise")
     p_study.add_argument("--tag")
-    return parser
+    options = {
+        a.dest: a for p in sub.choices.values() for a in p._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
+    return parser, options
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Fold a JSON config under the explicit flags; reject unknown keys."""
+def _merge_config(args: argparse.Namespace, options: dict) -> dict:
+    """Fold a JSON config under the explicit flags; reject unknown keys.
+
+    A config value goes through its flag's type and choices, as it would
+    on the command line.
+    """
     cfg = {}
     if getattr(args, "config", None):
         try:
@@ -106,10 +109,17 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(loaded) - _CONFIG_KEYS
+        unknown = set(loaded) - set(options)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        cfg.update(loaded)
+        for key, val in loaded.items():
+            option = options[key]
+            try:
+                cfg[key] = (option.type or str)(str(val))
+            except ValueError as exc:
+                raise ConfigError(f"config value {key}={val!r}: {exc}") from exc
+            if option.choices and cfg[key] not in option.choices:
+                raise ConfigError(f"config value {key}={val!r} is not one of {option.choices}")
     for key, val in vars(args).items():
         if key in ("command", "config", "name"):
             continue
@@ -271,10 +281,10 @@ def _cmd_study(cfg: dict, name: str | None) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, options = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
+        cfg = _merge_config(args, options)
         if args.command == "tau":
             return _cmd_tau(cfg)
         if args.command == "table":
@@ -282,9 +292,6 @@ def main(argv=None) -> int:
         if args.command == "interp":
             return _cmd_interp(cfg)
         return _cmd_study(cfg, getattr(args, "name", None))
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

@@ -106,6 +106,10 @@ def _check_r(r):
 # Integer and half-integer orders up to this one run an upward recurrence,
 # one step per order; higher ones go to kve, so an order like 1e20 cannot stall.
 _MAX_RECURRENCE_ORDER = 64
+# scipy's kve returns nan past r of about 1.07e9; from this r on, e^r K_nu(r)
+# is its asymptotic series, whose fifth term there is below 1e-21 for every
+# order below 172 (larger ones overflow Gamma(-alpha) first).
+_KVE_LARGE = 1e8
 
 
 def _k_upward(order: float, k_lo, k_hi, r: np.ndarray, steps: int):
@@ -117,6 +121,13 @@ def _k_upward(order: float, k_lo, k_hi, r: np.ndarray, steps: int):
     return k_hi
 
 
+def _ke_asymptotic(nu: float, r: np.ndarray) -> np.ndarray:
+    """sqrt(pi / (2 r)) sum_k prod_{j <= k} (4 nu^2 - (2 j - 1)^2) / (8 j r), k <= 4."""
+    steps = [(4.0 * nu * nu - (2 * j - 1) ** 2) / (8.0 * j * r) for j in range(1, 5)]
+    terms = np.cumprod(steps, axis=0)
+    return np.sqrt(np.pi / (2.0 * r)) * (1.0 + terms.sum(axis=0))
+
+
 def _bessel_ke(nu: float, r: np.ndarray) -> np.ndarray:
     """Exponentially scaled e^r K_nu(r) on an array of r > 0.
 
@@ -124,7 +135,8 @@ def _bessel_ke(nu: float, r: np.ndarray) -> np.ndarray:
     ``_MAX_RECURRENCE_ORDER`` use the closed elementary form
     e^r K_{1/2}(r) = sqrt(pi/(2r)), integer ones Cephes' k0e and k1e, each
     carried up by the recurrence (it is linear, so it carries the scaled
-    values too); other orders defer to scipy's kve (AMOS).  At integer
+    values too); other orders defer to scipy's kve (AMOS), or from r =
+    ``_KVE_LARGE`` on to the asymptotic series.  At integer
     orders kve is slower and its relative error reaches ~5e-14, against
     ~7e-16 for the recurrence.
     """
@@ -136,7 +148,10 @@ def _bessel_ke(nu: float, r: np.ndarray) -> np.ndarray:
     n = round(nu)
     half = abs(nu - round(nu - 0.5) - 0.5) < 1e-15
     if nu > _MAX_RECURRENCE_ORDER or not (half or abs(nu - n) < 1e-15):
-        return special.kve(nu, r)
+        out, far = special.kve(nu, r), r >= _KVE_LARGE
+        if np.any(far):
+            out = np.where(far, _ke_asymptotic(nu, np.maximum(r, _KVE_LARGE)), out)
+        return out
     if half:
         k_half = np.sqrt(np.pi / (2.0 * r))  # K_{-1/2} = K_{1/2}
         return _k_upward(0.5, k_half, k_half, r, int(round(nu - 0.5)))
@@ -231,7 +246,8 @@ def log_kernel_fourier(k: Kernel, xi):
     """
     absxi = np.abs(np.asarray(xi, dtype=float))
     if k.family == GAUSSIAN:
-        out = 0.5 * math.log(math.pi / k.lam) - absxi * absxi / (4.0 * k.lam)
+        with np.errstate(over="ignore"):  # -inf for a tiny lambda, the log of 0
+            out = 0.5 * math.log(math.pi / k.lam) - absxi * absxi / (4.0 * k.lam)
     elif k.family == POISSON:
         out = math.log(math.pi / k.c) - k.c * absxi
     else:

@@ -5,9 +5,11 @@ frequencies, and a brute-force long periodization (hundreds of terms) for
 generic parameters.
 """
 
+import contextlib
 import math
 import tracemalloc
 import warnings
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -20,9 +22,9 @@ import mqcardinal as mq
 from mqcardinal.cardinal import (
     TWO_PI,
     _fold_symbol,
-    _half_spectrum,
+    _alias,
     _ifft_band,
-    _log_fold_symbol,
+    _log_cardinal,
     _read_table,
     _symbol_rows,
     _symbol_terms,
@@ -34,6 +36,7 @@ from mqcardinal.errors import (
     BandwidthError,
     DomainError,
     KernelOverflowError,
+    MqcError,
     NumericalError,
     OutOfRangeError,
     SingularityError,
@@ -101,6 +104,20 @@ class TestComputeTau:
     def test_unsupported_alpha(self):
         with pytest.raises(UnsupportedKernelError):
             mq.compute_tau(mq.multiquadric(0.5, 1.0), 1e-8)
+
+    def test_too_wide_poisson_is_typed(self):
+        # pi / c / eps overflowed into a bare OverflowError.
+        with pytest.raises(UnsupportedKernelError, match="larger c"):
+            mq.compute_tau(mq.poisson(1e-300), 1e-10)
+
+    def test_underflowing_tail_prefactor(self):
+        # c^alpha underflowed to 0, and its log was a bare ValueError.
+        assert mq.compute_tau(mq.multiquadric(-3.0, 1e200), 1e-10).tau == 1
+
+    def test_overflowing_transform_at_pi_is_typed(self):
+        # K_2(c pi) overflows; the band search subtracted inf from inf.
+        with pytest.raises(KernelOverflowError, match="larger c"):
+            mq.compute_tau(mq.multiquadric(-2.5, 1e-200), 1e-10)
 
     @given(
         log_eps=st.floats(-20, -4),
@@ -228,32 +245,36 @@ class TestSymbolFold:
     )
     @pytest.mark.parametrize("m", [5, 16])
     def test_fold_matches_symbol_terms(self, k, eps, m):
-        plan = mq.compute_tau(k, eps)
-        q = 64
-        f = lambda xi: mq.kernel_fourier(k, xi)
-        spec = _half_spectrum(m, q, f, m // 2)
-        got = _fold_symbol(_symbol_rows(spec, plan.tau, f, plan.tau + 1))
-        want = _symbol_terms(plan.kernel, plan.tau, self.residues(q))
+        # The rows up to band fold the shifts below 2 pi band: those of
+        # _symbol_terms to band - 1, and -band at the residues s >= 1.
+        band = mq.compute_tau(k, eps).tau + 1
+        q = 4 * m
+        got = _fold_symbol(np.exp(_symbol_rows(q, partial(mq.log_kernel_fourier, k), band)))
+        xi = self.residues(q)
+        last = np.where(xi != 0.0, mq.kernel_fourier(k, TWO_PI * band - np.abs(xi)), 0.0)
+        want = _symbol_terms(k, band - 1, xi) + last
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     def test_rows_past_half_are_evaluated(self):
-        f = lambda xi: 1.0 + xi
-        spec = _half_spectrum(6, 8, f, 3)
-        rows = _symbol_rows(spec, 4, f, 5)
-        assert rows.shape == (5, 8)
+        rows = _symbol_rows(8, lambda xi: 1.0 + xi, 5)
+        assert rows.shape == (6, 8)
         r, s = np.mgrid[0:5, 0:8]
-        np.testing.assert_allclose(rows, 1.0 + TWO_PI * (r + s / 8.0), rtol=1e-15)
+        np.testing.assert_allclose(rows[:5], 1.0 + TWO_PI * (r + s / 8.0), rtol=1e-15)
+        assert np.all(rows[5] == -np.inf)
 
     @pytest.mark.parametrize("lam", [2.0, 0.05, 1.0 / 256.0])
     @pytest.mark.parametrize("m", [5, 16])
     def test_gaussian_log_fold_matches_logsumexp(self, lam, m):
-        plan = mq.compute_tau(mq.gaussian(lam), 1e-16)
-        q = 128
+        band = mq.compute_tau(mq.gaussian(lam), 1e-16).tau + 1
+        q = 8 * m
         f = lambda xi: -xi * xi / (4.0 * lam)
-        spec = _half_spectrum(m, q, f, m // 2)
-        got = _log_fold_symbol(_symbol_rows(spec, plan.tau, f, plan.tau + 1))
-        shifts = TWO_PI * np.arange(-plan.tau, plan.tau + 1)
-        expo = f(self.residues(q)[:, None] + shifts[None, :])
+        rows = _symbol_rows(q, f, band)
+        # log S = log phihat - log Lhat on row 0, whose columns s <= Q/2 are
+        # their own residues; S is even.
+        half = rows[0, : q // 2 + 1] - _log_cardinal(rows.copy())[0, : q // 2 + 1]
+        got = np.concatenate((half, half[-2:0:-1]))
+        xi = self.residues(q)[:, None] + TWO_PI * np.arange(-band, band + 1)
+        expo = np.where(np.abs(xi) < TWO_PI * band, f(xi), -np.inf)  # shifts below 2 pi band
         want = special.logsumexp(expo, axis=1)
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-13)
@@ -539,7 +560,8 @@ class TestWideKernels:
     @pytest.mark.parametrize(
         "k",
         [mq.poisson(240.0), mq.poisson(300.0), mq.poisson(1000.0), mq.multiquadric(-1.5, 300.0),
-         mq.multiquadric(-2.5, 300.0), mq.multiquadric(-0.75, 700.0)],
+         mq.multiquadric(-2.5, 300.0), mq.multiquadric(-0.75, 700.0), mq.poisson(1e50),
+         mq.multiquadric(-1.5, 1e10), mq.multiquadric(-0.75, 1e8), mq.multiquadric(-0.75, 1e50)],
     )
     def test_table_builds_and_is_near_sinc(self, k):
         # Each raised "periodized symbol underflowed".  The delta residual
@@ -577,6 +599,63 @@ class TestWideKernels:
         assert np.max(np.abs(t.values[::m] - delta)) <= eps
 
 
+class TestWidthRange:
+    """Every width a kernel takes: a result or a typed error, never a bare one."""
+
+    @given(
+        family=st.sampled_from(["gaussian", "poisson", -0.75, -1.5, -2.5, -3.0]),
+        log_width=st.floats(-300.0, 300.0),
+        log_eps=st.floats(-16.0, -2.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_result_or_typed_error(self, family, log_width, log_eps):
+        # Warnings are errors (pyproject.toml), so an overflow warning fails.
+        w, eps = 10.0**log_width, 10.0**log_eps
+        if family == "gaussian":
+            k = mq.gaussian(w)
+        else:
+            k = mq.poisson(w) if family == "poisson" else mq.multiquadric(family, w)
+        with contextlib.suppress(MqcError):
+            mq.compute_tau(k, eps)
+        with contextlib.suppress(MqcError):
+            mq.build_cardinal_table(k, eps, 8, 16)
+
+
+class TestDeltaResidual:
+    """Tables over the benchmark's table-build ranges, with c down to 0.1."""
+
+    WIDE = (24, 25, 27, 30, 32, 36, 40, 45, 48, 50, 54, 60, 64)
+    NARROW = (16, 18, 20, 24, 25, 27, 30, 32)
+
+    @given(
+        family=st.sampled_from(["poisson", "gaussian", -0.75, -1.5, -2.5]),
+        c=st.floats(0.1, 4.0),
+        log_eps=st.floats(-12.0, -10.0),
+        log_n=st.floats(math.log2(32), math.log2(1024)),
+        pick=st.integers(0, 12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_residual_at_rounding(self, family, c, log_eps, log_n, pick):
+        # The symbol holds every shift above 2^-60 of phihat(pi), and the
+        # spectrum past pi M is summed back into the table's band, so
+        # L(j) = delta_0j to rounding, whatever eps.  The tau-truncated
+        # symbol left up to 3.35e-12 (alpha = -1.5).
+        wide = family in ("poisson", "gaussian")
+        ms = self.WIDE if wide else self.NARROW
+        n, m = int(2.0 ** (log_n if wide else min(log_n, 8.0))), ms[pick % len(ms)]
+        if family == "gaussian":
+            k = mq.gaussian(c / 4.0)
+        else:
+            k = mq.poisson(c) if family == "poisson" else mq.multiquadric(family, c)
+        try:
+            t = mq.build_cardinal_table(k, 10.0**log_eps, n, m)
+        except BandwidthError:
+            return
+        delta = np.zeros(2 * n + 1)
+        delta[n] = 1.0
+        assert np.max(np.abs(t.values[::m] - delta)) <= 1e-13
+
+
 def even_flat(head, m):
     """The even length-p sequence whose slots 0 .. p/2 are head's flat form."""
     p = m * head.shape[1]
@@ -607,15 +686,24 @@ class TestTableTransform:
 
     @pytest.mark.parametrize("m", [5, 6])
     def test_even_spectrum_layout(self, m):
+        # Flat slots over about 2.5 periods p, each at frequencies +xi and
+        # -xi, summed into the slots they land on mod p.
         q = 16
         p = m * q
-        spec = _half_spectrum(m, q, lambda xi: 1.0 + xi, m // 2 + 1)
+        rows = np.random.default_rng(p).standard_normal((5 * m // 2, q))
+        flat = rows.ravel()
+        full = np.zeros(p)
+        np.add.at(full, np.arange(flat.size) % p, flat)
+        np.add.at(full, -np.arange(1, flat.size) % p, flat[1:])
+        spec = _alias(rows, m)
         assert spec.shape == (m // 2 + 1, q) and spec.dtype == float
-        flat = spec.reshape(-1)
-        i = np.arange(p // 2 + 1)
-        np.testing.assert_array_equal(flat[i], 1.0 + i * (TWO_PI / q))
-        assert np.all(flat[p // 2 + 1 :] == 0.0)
-        want = (m * np.fft.ifft(even_flat(spec, m))).reshape(q, m).T[: m // 2 + 1]
+        np.testing.assert_allclose(
+            spec.ravel()[: p // 2 + 1], full[: p // 2 + 1], rtol=1e-13, atol=1e-13
+        )
+        assert np.all(spec.ravel()[p // 2 + 1 :] == 0.0)
+        short = rows[: m // 2]
+        assert _alias(short, m) is short
+        want = (m * np.fft.ifft(full)).reshape(q, m).T[: m // 2 + 1]
         got = _ifft_band(spec, m)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
@@ -658,7 +746,11 @@ class TestSpectrumBand:
             cut = mq.build_cardinal_table(k, eps, n, m)
         except BandwidthError:
             return
-        with mock.patch.object(cardinal, "_LOG_CUT", -math.inf):
+        # The reference evaluates every spectrum row and folds the symbol
+        # shifts up to twice the band.
+        band = cardinal._spectrum_band
+        wide = lambda k_, eps_, m_: max(2 * band(k_, eps_, m_), m_ // 2 + 1)
+        with mock.patch.object(cardinal, "_spectrum_band", wide):
             full = mq.build_cardinal_table(k, eps, n, m)
         # At most 2^-60 from the cut, plus rounding: the inverse FFT rounds
         # the two spectra differently.  In about 2500 random builds that moved 4
@@ -677,27 +769,22 @@ class TestSpectrumBand:
         # phihat(2 pi r) < 2^-60 / M of phihat(pi), and Lhat, from the
         # full symbol, on every slot of the rows it leaves 0.
         seen = {}
-        spectrum, symbol_rows = cardinal._half_spectrum, cardinal._symbol_rows
+        symbol_rows = cardinal._symbol_rows
 
-        def spy_spectrum(m_, q, f, rows):
-            seen.update(q=q, rows=rows)
-            return spectrum(m_, q, f, rows)
+        def spy_symbol_rows(q, f, band):
+            seen.update(q=q, band=band)
+            return symbol_rows(q, f, band)
 
-        def spy_symbol_rows(spec, tau, f, band):
-            seen.update(band=band)
-            return symbol_rows(spec, tau, f, band)
-
-        monkeypatch.setattr(cardinal, "_half_spectrum", spy_spectrum)
         monkeypatch.setattr(cardinal, "_symbol_rows", spy_symbol_rows)
         mq.build_cardinal_table(k, 1e-12, 32, m)
-        band, rows, q = seen["band"], seen["rows"], seen["q"]
+        band, q = seen["band"], seen["q"]
         share = mq.log_kernel_fourier(k, TWO_PI * np.arange(1, band + 1)) - mq.log_kernel_fourier(
             k, math.pi
         )
         assert share[-1] < math.log(2.0**-60 / m) <= share[:-1].min(initial=math.inf)
-        assert rows == min(band, m // 2 + 1) < m // 2 + 1
+        assert band < m // 2 + 1
         plan = mq.compute_tau(k, 1e-12)
-        xi = TWO_PI * (np.arange(rows, m // 2 + 1)[:, None] + np.arange(q) / q)
+        xi = TWO_PI * (np.arange(band, m // 2 + 1)[:, None] + np.arange(q) / q)
         assert np.max(mq.cardinal_hat(plan, xi)) <= 2.0**-60 / m
 
     @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from mqcardinal import cli
 from mqcardinal.cli import main
 
 
@@ -40,6 +41,19 @@ class TestTau:
         )
         assert code == 1
         assert "numerical failure" in err and "overflows" in err
+
+    @pytest.mark.parametrize(
+        "kernel, code",
+        [
+            (("--family=poisson", "--c=1e-300"), 2),  # was a traceback (OverflowError)
+            (("--family=multiquadric", "--alpha=-3", "--c=1e200"), 0),  # was exit 2 (ValueError)
+            (("--family=multiquadric", "--alpha=-2.5", "--c=1e-200"), 1),
+        ],
+    )
+    def test_extreme_width_exit_codes(self, capsys, kernel, code):
+        got, out, err = run_cli(capsys, "tau", *kernel, "--eps=1e-10")
+        assert got == code
+        assert ("tau: 1" in out) if code == 0 else ("larger c" in err)
 
     def test_multiquadric_needs_alpha(self, capsys):
         code, _, err = run_cli(capsys, "tau", "--family", "multiquadric")
@@ -198,6 +212,23 @@ class TestConfigMerge:
     def test_unreadable_config(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "tau", "--config", str(tmp_path / "none.json"))
         assert code == 2 and "cannot read config" in err
+
+    @pytest.mark.parametrize("key, val", [("N", "many"), ("eps", True), ("mode", "bogus")])
+    def test_malformed_config_value_is_usage_error(self, capsys, tmp_path, key, val):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: val}))
+        code, _, err = run_cli(capsys, "table", "--config", str(cfg))
+        assert code == 2 and f"config value {key}=" in err
+
+    def test_bare_value_error_is_not_a_usage_error(self, monkeypatch):
+        # Only the package's typed errors map to exit codes; a bare
+        # ValueError is a bug, and propagates with its traceback.
+        def broken(cfg):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(cli, "_cmd_tau", broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(["tau"])
 
     def test_non_object_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -233,6 +233,9 @@ class TestFourierTransforms:
             (mq.multiquadric(-2.5, 2000.0), 3.0),
             (mq.multiquadric(-3.3, 5.0), 200.0),
             (mq.gaussian(1e-3), 10.0),
+            # c xi past about 1.07e9, where scipy's kve returns nan.
+            (mq.multiquadric(-0.75, 1e10), 3.0),
+            (mq.multiquadric(-3.3, 1e8), 20.0),
         ],
     )
     def test_log_transform_where_transform_underflows(self, k, xi):
