@@ -62,10 +62,12 @@ _LOG_TINY = math.log(np.finfo(float).tiny)
 _LOG_CUT = -60.0 * math.log(2.0)
 # Lagrange weight i's product of (s - j), j != i, at its own node s = i, by order.
 _AT_NODE = {2: np.array([-1.0, 1.0]), 4: np.array([-6.0, 2.0, -2.0, 6.0])}
-# Shifts the gaussian and poisson tau rules sum at most (gaussian lambda up
-# to about 1e11, poisson c down to about 1e-5), and rows the table build's
-# band search reaches at most.
+# Shifts compute_tau's tail rule sums at most (gaussian lambda up to about
+# 1e11, poisson c down to about 1e-5), and rows the table build's band
+# search reaches at most.
 _MAX_SHIFTS = 1 << 20
+# Shift-grid values _symbol_terms forms at a time.
+_SYMBOL_BLOCK = 1 << 16
 _TOO_SLOW = "kernel transform decays too slowly to tabulate"
 
 
@@ -73,8 +75,9 @@ _TOO_SLOW = "kernel transform decays too slowly to tabulate"
 class TruncationPlan:
     """Number of periodization terms guaranteeing relative error epsilon.
 
-    ``gamma`` is the exponential-decay prefactor of the transform tail and
-    ``d_lower`` the constant of the symbol lower bound; both are recorded
+    ``gamma`` and ``d_lower`` are the constants of the rule behind tau:
+    the transform tail's prefactor, and a lower bound of the symbol (its
+    closed-form constant, or phihat(pi) for alpha < -1); both are recorded
     for reporting.
     """
 
@@ -96,66 +99,25 @@ def _mq_tail_prefactor(k: Kernel) -> float:
     )
 
 
-def _phihat_envelope(k: Kernel, r: np.ndarray) -> np.ndarray:
-    # In log space: for a tiny c the factor e^(nu^2 / (2 c r)) alone
-    # overflows, and for a large c the prefactor's c^alpha underflows.
-    alpha, c = k.alpha, k.c
-    nu = alpha + 0.5
-    log_lam = (
-        (1.0 + alpha) * math.log(2.0) - math.lgamma(-alpha) + alpha * math.log(c) + math.log(TWO_PI)
-    )
-    return _exp_transform(k, log_lam + (-alpha - 1.0) * np.log(r) - c * r + nu * nu / (2.0 * c * r))
-
-
 def _symbol_terms(k: Kernel, tau: int, xi_star: np.ndarray, log_scale=0.0) -> np.ndarray:
     """Symbol truncated to shifts |j| <= tau, on an array of reduced
     frequencies, with every term divided by ``exp(log_scale)``.
 
-    One transform call covers the whole (2 tau + 1, ...) shift grid; the
-    rows are then added in the order j = -tau .. tau.
+    One transform call covers a block of shifts, about ``_SYMBOL_BLOCK``
+    values, so memory does not grow with tau; the rows are added in the
+    order j = -tau .. tau.
     """
-    args = np.add.outer(TWO_PI * np.arange(-tau, tau + 1), xi_star)
-    vals = _exp_transform(k, log_kernel_fourier(k, args) - log_scale)
     total = np.zeros_like(xi_star)
-    with np.errstate(over="ignore"):
-        for row in vals:
-            total += row
+    step = max(1, _SYMBOL_BLOCK // max(xi_star.size, 1))
+    for lo in range(-tau, tau + 1, step):
+        args = np.add.outer(TWO_PI * np.arange(lo, min(lo + step, tau + 1)), xi_star)
+        vals = _exp_transform(k, log_kernel_fourier(k, args) - log_scale)
+        with np.errstate(over="ignore"):
+            for row in vals:
+                total += row
     if np.any(np.isinf(total)):
         raise _overflow_error(k, "the periodized symbol")
     return total
-
-
-def _empirical_symbol_min(k: Kernel, tau0: int = 50, grid: int = 512) -> float:
-    # The symbol is even, so its minimum over (-pi, pi] is taken on [0, pi].
-    # Of the shifts |j| <= tau0, those from the first j with
-    # phihat(2 pi j - pi) below 2^-60 / (2 tau0 + 1) of phihat(pi) on add
-    # less than 2^-60 of the sum together, and are left out.
-    xs = (-math.pi + TWO_PI * (np.arange(grid) + 1.0) / grid)[grid // 2 - 1 :]
-    shares = _log_shares(k, TWO_PI * np.arange(1, tau0 + 1) - math.pi)
-    hit = np.flatnonzero(shares < _LOG_CUT - math.log(2 * tau0 + 1))
-    return float(_symbol_terms(k, int(hit[0]) if hit.size else tau0, xs).min())
-
-
-def _gaussian_tail_tau(lam: float, epsilon: float) -> int:
-    """Smallest tau >= 1 whose dropped shifts of S(pi) sum to at most epsilon
-    of its largest term.
-
-    The shifts -j and j - 1 of S(pi) are each phihat((2j - 1) pi) =
-    exp(-j (j - 1) pi^2 / lam) phihat(pi), so the shifts |j| > tau sum to
-    at most twice that over j > tau.  The first term past the last one
-    summed here is below exp(-40) epsilon, and within the shift cap all of
-    them together are below exp(-31) epsilon.
-    """
-    a = math.pi**2 / lam
-    last = math.ceil(math.sqrt((40.0 - math.log(epsilon / 2.0)) / a)) + 2
-    if last > _MAX_SHIFTS:
-        raise UnsupportedKernelError(
-            f"gaussian lambda={lam:g} is too narrow: its symbol needs over "
-            f"{_MAX_SHIFTS} shifts; use a smaller lambda"
-        )
-    j = np.arange(2.0, last + 1.0)  # the j = 1 term, 1, never meets epsilon
-    tail = np.cumsum(np.exp(-j * (j - 1.0) * a)[::-1])[::-1]  # tail[t] = sum_{j > t + 1}
-    return 1 + int(np.argmax(2.0 * tail <= epsilon))
 
 
 def _log_shares(k: Kernel, xi: np.ndarray) -> np.ndarray:
@@ -178,55 +140,89 @@ def _check_epsilon(epsilon: float) -> None:
         raise DomainError("epsilon must lie in (0, 1)")
 
 
+def _tail_tau(k: Kernel, epsilon: float) -> int:
+    """The tail rule's tau (see :func:`compute_tau`), or _MAX_SHIFTS + 1 if
+    none up to the cap is certified.
+
+    The tail past tau holds shift tau + 1, so the shares are read from the
+    first probe point n of 64, 128, ..., _MAX_SHIFTS whose share is under
+    the target, doubling n until the shares up to n and the series
+    ``phihat(2 pi n - pi) rho / (1 - rho)`` past it certify a tau.
+    """
+    log_target = math.log(0.5 * epsilon)
+    probe = 64 << np.arange((_MAX_SHIFTS // 64).bit_length())
+    below = np.flatnonzero(_log_shares(k, TWO_PI * probe - math.pi) <= log_target)
+    if not below.size:
+        return _MAX_SHIFTS + 1
+    shares = np.empty(0)  # shares[i] is shift j = i + 2's
+    for n in probe[below[0] :]:
+        more = _log_shares(k, TWO_PI * np.arange(shares.size + 2, n + 1) - math.pi)
+        shares = np.concatenate((shares, more))
+        # The log of the series past n: -inf where its first term's log
+        # underflows, +inf where rho rounds to 1.
+        log_rest = -math.inf
+        if shares[-1] > -math.inf:
+            log_rho = shares[-1] - shares[-2]
+            if k.family != GAUSSIAN:
+                log_rho = max(log_rho, -TWO_PI * k.c)
+            log_rest = math.inf
+            if log_rho < 0.0:
+                log_rest = shares[-1] + log_rho - math.log(-math.expm1(log_rho))
+        # tails[i] is the log of the shifts j > i + 1 summed, the rest included.
+        tails = np.logaddexp.accumulate(np.append(log_rest, shares[::-1]))[::-1]
+        if tails[-1] <= log_target:
+            return 1 + int(np.argmax(tails <= log_target))
+    return _MAX_SHIFTS + 1
+
+
 def compute_tau(k: Kernel, epsilon: float) -> TruncationPlan:
     """Choose the truncation parameter tau for the periodized symbol.
 
-    Family-specific sufficient conditions are used: a closed-form bound for
-    the alpha = -1 (Poisson) transform, the generic exponential-envelope
-    bound for -1 < alpha < 0, a certified numerical tail search for
-    alpha < -1 (where no analytic lower-bound constant is available), and
-    for the gaussian the larger of a linear-in-log(eps) rule and the
-    lambda-dependent tail bound of :func:`_gaussian_tail_tau`.
+    One tail rule certifies tau for every family: the smallest tau >= 1
+    with ``2 sum_{j > tau} phihat(2 pi j - pi) <= epsilon phihat(pi)``.
+    phihat is even and decreases in |xi|, so for |xi*| <= pi each term
+    phihat(2 pi j - pi), j > tau, bounds the two dropped shifts
+    xi* +- 2 pi j, and S(xi*) >= phihat(pi) (see :func:`_log_shares`).
+    Past the last shift summed the terms fall at least geometrically, by
+    rho, the largest later ratio phihat(xi + 2 pi) / phihat(xi).  The
+    gaussian's ratio falls (its log transform is concave), so rho is the
+    last one summed.  The multiquadric's tends to e^(-2 pi c): it falls to
+    it for alpha < -1, rises to it for -1 < alpha < 0 and is it for poisson
+    (checked numerically for alpha from -4 to -0.25, c from 0.05 to 10), so
+    rho = max(last ratio, e^(-2 pi c)).
+
+    Where the paper has a closed form (poisson, -1 < alpha < 0 and the
+    gaussian), tau is the larger of it and the certificate, which keeps the
+    published term counts, and ``gamma`` and ``d_lower`` are its constants.
+    For alpha < -1 tau is the certificate, ``gamma`` the tail prefactor and
+    ``d_lower = phihat(pi)``.  A tau over _MAX_SHIFTS raises
+    UnsupportedKernelError naming the way out.
     """
     _check_epsilon(epsilon)
 
     if k.family == GAUSSIAN:
-        tau = max(
-            math.ceil(2.0 / math.pi**2 * abs(math.log(epsilon / 4.0)) + 4.0),
-            _gaussian_tail_tau(k.lam, epsilon),
-        )
         gamma = math.sqrt(math.pi / k.lam)
         d_lower = gamma * math.exp(-math.pi**2 / (4.0 * k.lam))
-        return TruncationPlan(k, epsilon, tau, gamma, d_lower)
-
-    if k.alpha >= 0:
+        paper = 2.0 / math.pi**2 * abs(math.log(epsilon / 4.0)) + 4.0
+    elif k.alpha >= 0:
         raise UnsupportedKernelError("cardinal pipeline requires alpha < 0")
-
-    c = k.c
-    if k.alpha == -1.0:
-        gamma = math.pi / c
-        d_lower = 1.0 / (2.0 * c * math.sqrt(2.0))
+    elif k.alpha == -1.0:
+        gamma = math.pi / k.c
+        d_lower = 1.0 / (2.0 * k.c * math.sqrt(2.0))
         # log(gamma / epsilon) as a difference: gamma / epsilon overflows
         # for a tiny c.
-        tau = 1.0 + (math.log(gamma) - math.log(epsilon)) / (TWO_PI * c)
-        if tau > _MAX_SHIFTS:
-            raise UnsupportedKernelError(
-                f"poisson c={c:g} is too wide: its symbol needs over {_MAX_SHIFTS} "
-                "shifts; use a larger c"
-            )
-        return TruncationPlan(k, epsilon, max(1, math.ceil(tau)), gamma, d_lower)
-
-    if k.alpha > -1.0:
+        paper = 1.0 + (math.log(gamma) - math.log(epsilon)) / (TWO_PI * k.c)
+    elif k.alpha > -1.0:
+        c = k.c
         lam = _mq_tail_prefactor(k)
         nu = k.alpha + 0.5
         gamma = _finite_constant(
             k, lambda: lam * math.pi ** (-k.alpha - 1.0) * math.exp(nu * nu / (2.0 * c * math.pi))
         )
-        beta = 0.5
         d_scale = _finite_constant(
             k,
             lambda: (
-                beta * 2.0 ** (1.0 + k.alpha) / math.gamma(-k.alpha) * c**k.alpha
+                0.5 * 2.0 ** (1.0 + k.alpha) / math.gamma(-k.alpha) * c**k.alpha
                 * TWO_PI ** (-k.alpha - 1.0)
             ),
         )
@@ -235,33 +231,28 @@ def compute_tau(k: Kernel, epsilon: float) -> TruncationPlan:
         # tau is formed in log space: d_lower underflows for c >~ 113 and
         # cosh(c pi) overflows for c >~ 226, while tau itself stays small.
         log_cosh = c * math.pi + math.log1p(e2) - math.log(2.0)
-        tau = math.ceil(
-            1.0
-            + (
-                math.log(1.0 / epsilon)
-                + math.log(2.0 * gamma)
-                + log_cosh
-                - (math.log(d_scale) - TWO_PI * c)
-                - math.log1p(-e2)
-            )
-            / (TWO_PI * c)
-        )
-        return TruncationPlan(k, epsilon, max(1, tau), gamma, d_lower)
+        paper = 1.0 + (
+            math.log(1.0 / epsilon)
+            + math.log(2.0 * gamma)
+            + log_cosh
+            - (math.log(d_scale) - TWO_PI * c)
+            - math.log1p(-e2)
+        ) / (TWO_PI * c)
+    else:
+        gamma = _mq_tail_prefactor(k)
+        d_lower = kmod.kernel_fourier(k, math.pi)
+        paper = 1.0
 
-    # alpha < -1: certified search against an empirical symbol minimum.
-    d_lower = 0.5 * _empirical_symbol_min(k)
-    ks = np.arange(1, 2001)
-    terms = _phihat_envelope(k, TWO_PI * ks - math.pi) + _phihat_envelope(
-        k, TWO_PI * ks + math.pi
-    )
-    suffix = np.cumsum(terms[::-1])[::-1]  # suffix[j] = tail beyond tau = j
-    target = epsilon * d_lower
-    ok = np.nonzero(suffix <= target)[0]
-    if ok.size == 0:
-        raise UnsupportedKernelError("no admissible tau within search range")
-    tau = max(1, int(ok[0]))
-    gamma = _mq_tail_prefactor(k)
-    return TruncationPlan(k, epsilon, tau, gamma, d_lower)
+    tau = max(paper, _tail_tau(k, epsilon))
+    if tau > _MAX_SHIFTS:
+        what, way = (
+            (f"gaussian lambda={k.lam:g} is too narrow", "smaller lambda") if k.family == GAUSSIAN
+            else (f"{k.family} alpha={k.alpha:g}, c={k.c:g} is too wide", "larger c")
+        )
+        raise UnsupportedKernelError(
+            f"{what}: its symbol needs over {_MAX_SHIFTS} shifts; use a {way}"
+        )
+    return TruncationPlan(k, epsilon, math.ceil(tau), gamma, d_lower)
 
 
 def _float_or_array(out: np.ndarray):
@@ -576,6 +567,11 @@ def build_cardinal_table(
     """
     if N < 4 or M < 4:
         raise DomainError("table requires N >= 4 and M >= 4")
+    if M // 2 > _MAX_SHIFTS:
+        raise DomainError(
+            f"table requires M <= {2 * _MAX_SHIFTS + 1}: the band search reads at most "
+            f"{_MAX_SHIFTS} spectrum rows"
+        )
     band = _spectrum_band(k, epsilon, M)
     q = _next_pow2(max(_MIN_PERIOD, _PERIOD_FACTOR * N))
 

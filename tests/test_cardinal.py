@@ -88,14 +88,11 @@ class TestComputeTau:
             with pytest.raises(DomainError):
                 mq.compute_tau(mq.poisson(1.0), bad)
 
-    @pytest.mark.parametrize(
-        "alpha, c", [(-200.0, 1.0), (-3.0, 1e-120), (-0.75, 1e-5), (-1.5, 1e-150)]
-    )
+    @pytest.mark.parametrize("alpha, c", [(-200.0, 1.0), (-3.0, 1e-120), (-0.75, 1e-5)])
     def test_overflowing_constants_are_typed(self, alpha, c):
-        # Gamma(200) overflows, 1e-120 ** -5 overflows, exp(1 / (32 pi 1e-5))
-        # overflows, and the alpha < -1 tail envelope's exp(1 / (2 c r))
-        # overflows: each is a numerical failure with a hint, not a bare
-        # OverflowError or RuntimeWarning.
+        # Gamma(200) overflows, 1e-120 ** -3 overflows and exp(1 / (32 pi
+        # 1e-5)) overflows: each is a numerical failure with a hint, not a
+        # bare OverflowError or RuntimeWarning.
         k = mq.multiquadric(alpha, c)
         with pytest.raises(KernelOverflowError, match="larger c") as exc:
             mq.compute_tau(k, 1e-10)
@@ -109,6 +106,16 @@ class TestComputeTau:
         # pi / c / eps overflowed into a bare OverflowError.
         with pytest.raises(UnsupportedKernelError, match="larger c"):
             mq.compute_tau(mq.poisson(1e-300), 1e-10)
+
+    @pytest.mark.parametrize(
+        "k, hint",
+        # phihat(pi) ~ e^691 is finite, and the shares stay near 1 past the
+        # cap; the gaussian's exp(-j (j - 1) pi^2 / lambda) need 1.5e6 shifts.
+        [(mq.multiquadric(-1.5, 1e-150), "larger c"), (mq.gaussian(1e12), "smaller lambda")],
+    )
+    def test_past_shift_cap_is_typed(self, k, hint):
+        with pytest.raises(UnsupportedKernelError, match=hint):
+            mq.compute_tau(k, 1e-10)
 
     def test_underflowing_tail_prefactor(self):
         # c^alpha underflowed to 0, and its log was a bare ValueError.
@@ -129,6 +136,35 @@ class TestComputeTau:
         t1 = mq.compute_tau(k, 10.0**log_eps).tau
         t2 = mq.compute_tau(k, 10.0 ** (log_eps - 2)).tau
         assert t2 >= t1 >= 1
+
+    @given(
+        family=st.sampled_from(["poisson", "gaussian", -0.3, -0.6, -0.9, -1.25, -1.5, -2.5, -4.0]),
+        log_width=st.floats(-1.0, 1.5),
+        log_eps=st.floats(-16.0, -4.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_certificate_meets_eps(self, family, log_width, log_eps):
+        # The shifts tau keeps against 8001, each summed exactly, on a grid
+        # of xi* in [0, pi] (S is even) with 0 where phihat is finite there.
+        w, eps = 10.0**log_width, 10.0**log_eps
+        if family == "gaussian":
+            k = mq.gaussian(w)
+        else:
+            k = mq.poisson(w) if family == "poisson" else mq.multiquadric(family, w)
+        plan = mq.compute_tau(k, eps)
+        xi = np.linspace(0.0, math.pi, 17)
+        if family != "gaussian" and k.alpha >= -0.5:
+            xi[0] = 1e-3
+        terms = mq.kernel_fourier(k, xi + TWO_PI * np.arange(-4000, 4001)[:, None])
+        want = np.array([math.fsum(col) for col in terms.T])
+        kept = terms[4000 - plan.tau : 4001 + plan.tau]
+        cut = np.array([math.fsum(col) for col in kept.T])
+        ulp = np.finfo(float).eps
+        assert np.all(np.abs(cut - want) <= max(eps, 4 * ulp) * want)
+        # periodized_symbol adds the same terms in the order j = -tau .. tau,
+        # with at most 2 tau roundings.
+        got = mq.periodized_symbol(plan, xi)
+        assert np.all(np.abs(got - cut) <= 2 * plan.tau * ulp * cut)
 
     def test_intermediate_alpha_guarantee(self):
         # The generic-envelope branch must still meet the epsilon contract.
@@ -311,35 +347,22 @@ class TestSymbolTerms:
             xi = xi[1:]  # xi = 0 is the non-integrable singularity
         np.testing.assert_array_equal(_symbol_terms(k, tau, xi), symbol_terms_loop(k, tau, xi))
 
+    def test_long_symbol_peak_memory(self):
+        # tau = 39876: the whole (2 tau + 1, 64) shift grid was 156 MiB at peak.
+        plan = mq.compute_tau(mq.poisson(1.5e-4), 1e-12)
+        assert plan.tau == 39876
+        xi = np.linspace(-math.pi, math.pi, 64)
+        tracemalloc.start()
+        try:
+            mq.periodized_symbol(plan, xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_singularity_at_zero(self):
         with pytest.raises(SingularityError):
             _symbol_terms(mq.multiquadric(-0.25, 1.0), 3, np.array([0.5, 0.0]))
-
-    def test_tau_sweep_matches_loop_oracle(self, monkeypatch):
-        # compute_tau for alpha < -1 takes its d_lower from the symbol sum.
-        cases = [(a, c, eps) for a in np.linspace(-1.05, -6.0, 6)
-                 for c in (0.05, 0.5, 3.0, 20.0) for eps in (1e-6, 1e-14)]
-        fast = [mq.compute_tau(mq.multiquadric(a, c), eps) for a, c, eps in cases]
-        monkeypatch.setattr(cardinal, "_symbol_terms", symbol_terms_loop)
-        slow = [mq.compute_tau(mq.multiquadric(a, c), eps) for a, c, eps in cases]
-        for p, q in zip(fast, slow):
-            assert repr((p.tau, p.d_lower, p.gamma)) == repr((q.tau, q.d_lower, q.gamma))
-
-    def test_tau_sweep_matches_uncut_symbol_min(self, monkeypatch):
-        # The symbol minimum sums only the shifts above 2^-60 of S; tau and
-        # d_lower are those of the full 50-shift sum.
-        cases = [(a, c, eps) for a in np.linspace(-1.05, -6.0, 6)
-                 for c in (0.05, 0.5, 3.0, 20.0) for eps in (1e-6, 1e-14)]
-        cut = [mq.compute_tau(mq.multiquadric(a, c), eps) for a, c, eps in cases]
-
-        def uncut(k, tau0=50, grid=512):
-            xs = (-math.pi + TWO_PI * (np.arange(grid) + 1.0) / grid)[grid // 2 - 1 :]
-            return float(_symbol_terms(k, tau0, xs).min())
-
-        monkeypatch.setattr(cardinal, "_empirical_symbol_min", uncut)
-        full = [mq.compute_tau(mq.multiquadric(a, c), eps) for a, c, eps in cases]
-        for p, q in zip(cut, full):
-            assert (p.tau, p.d_lower) == (q.tau, q.d_lower)
 
 
 class TestReduceFrequency:
@@ -719,6 +742,18 @@ class TestTableTransform:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+
+    def test_oversampling_past_band_reach_is_domain_error(self):
+        # The band search reads at most 2^20 rows; at M = 2^22 its probe was
+        # empty and the build said the transform "decays too slowly".
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="M <= 2097153"):
+                mq.build_cardinal_table(mq.poisson(1.0), 1e-10, 4, 2**22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
 class TestSpectrumBand:

@@ -48,6 +48,8 @@ class TestTau:
             (("--family=poisson", "--c=1e-300"), 2),  # was a traceback (OverflowError)
             (("--family=multiquadric", "--alpha=-3", "--c=1e200"), 0),  # was exit 2 (ValueError)
             (("--family=multiquadric", "--alpha=-2.5", "--c=1e-200"), 1),
+            # was exit 1: the alpha < -1 tail envelope overflowed
+            (("--family=multiquadric", "--alpha=-1.5", "--c=1e-150"), 2),
         ],
     )
     def test_extreme_width_exit_codes(self, capsys, kernel, code):
@@ -92,6 +94,14 @@ class TestTable:
         )
         assert code == 1
         assert "numerical failure" in err
+
+    def test_oversampling_past_band_reach_is_usage_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "table", "--family", "poisson", "--c", "1",
+            "--eps", "1e-10", "--N", "4", "--M", "4194304",
+        )
+        assert code == 2
+        assert "M <= 2097153" in err
 
 
 class TestInterp:
