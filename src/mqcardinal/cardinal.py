@@ -5,17 +5,19 @@ Fourier domain as ``Lhat(xi) = phihat(xi) / S(xi)`` where
 ``S(xi) = sum_k phihat(xi + 2 pi k)`` is the 2 pi-periodized symbol.  The
 symbol functions truncate the periodization to ``2 tau + 1`` terms, with
 tau chosen so the truncation carries relative error at most epsilon.  The
-table build needs no tau: it samples Lhat only up to the band where the
-transform falls below rounding, folds the symbol from those same samples,
-and inverts them with an FFT; L is then evaluated off-grid by local
-polynomial interpolation.
+table build needs no tau.  It samples phihat at spacing 2 pi / Q up to the
+band where the transform falls below rounding, and one routine,
+:func:`_periodize`, sums those even samples over a period twice: over Q
+slots for the symbol S, and, where Lhat reaches past pi M, over M Q slots,
+as sampling L at spacing 1/M does to Lhat.  An FFT inverts the result; L is
+then evaluated off-grid by local polynomial interpolation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 from scipy import fft
@@ -127,11 +129,18 @@ def _log_shares(k: Kernel, xi: np.ndarray) -> np.ndarray:
     S(xi*), |xi*| <= pi, has the term phihat(xi*) >= phihat(pi).  So where
     the share at |xi| >= pi is below some exp(s), so is each transform value
     past it, against any symbol value.  A phihat(pi) whose log is +inf (a
-    Bessel factor that overflows at a tiny c pi) raises KernelOverflowError.
+    Bessel factor that overflows at a tiny c pi) raises KernelOverflowError,
+    and one whose log is -inf (a gaussian with pi^2 / (4 lambda) past double
+    precision) UnsupportedKernelError.
     """
     logs = log_kernel_fourier(k, np.concatenate(([math.pi], xi)))
     if logs[0] == math.inf:
         raise _overflow_error(k, "the transform")
+    if logs[0] == -math.inf:
+        raise UnsupportedKernelError(
+            f"gaussian lambda={k.lam:g} is too wide: pi^2 / (4 lambda) overflows; "
+            "use a larger lambda"
+        )
     return logs[1:] - logs[0]
 
 
@@ -405,71 +414,25 @@ def series_samples(t: CardinalTable, coeffs: np.ndarray) -> np.ndarray:
     return conv
 
 
-def _alias(rows: np.ndarray, m: int) -> np.ndarray:
-    """Slots 0 .. p/2 (p = M Q), as rows 0 .. M//2, of the 2 pi M-periodic sum
-    of the even spectrum on the flat slots of ``rows``; rows that end
-    before slot p/2 are returned as they are.
+def _periodize(flat: np.ndarray, period: int) -> np.ndarray:
+    """Slots 0 .. period/2 of ``sum_k f(i + k period)``, for an even
+    ``period``, with f the even sequence whose slots 0, 1, ... are ``flat``
+    and whose slots past it are 0.
 
-    Sampling L at spacing 1/M sums its transform over the shifts 2 pi M k:
-    flat slot i adds into slot i mod p, or into p - (i mod p) past p/2.
-    Slots 0 and p/2 take slots p/2, p, 3p/2, ... from both signs of xi.
+    Slot i takes f(i + k period) for k >= 0 and f(k period - i) for k >= 1.
+    Both are column sums of ``flat`` cut into blocks of one period, each
+    with the next block's first slot as an extra column ``period``: column
+    i for the first, column period - i for the second.  Each runs from the
+    farthest block in, so a decreasing f is summed from its smallest terms.
     """
-    q = rows.shape[1]
-    p = m * q
-    if rows.size <= p // 2:
-        return rows
-    i = np.arange(rows.size) % p
-    weights = rows.ravel().copy()
-    weights[p // 2 :: p // 2] *= 2.0
-    out = np.bincount(np.minimum(i, p - i), weights, (m // 2 + 1) * q)
-    return out.reshape(-1, q)
-
-
-def _mirror_residues(half: np.ndarray) -> np.ndarray:
-    """Values on residues 0 .. Q-1 from those on 0 .. Q/2: residue s > Q/2
-    takes the value of Q - s."""
-    return np.concatenate((half, half[-2:0:-1]))
-
-
-def _symbol_rows(q: int, f, band: int) -> np.ndarray:
-    """Rows 0 .. band of the log spectrum: ``f(2 pi (r + s / Q))`` in row r,
-    column s, for r < band, and row ``band`` -inf (the log of 0).
-
-    The fold reads the shift j = band of every residue from row band, at or
-    past frequency 2 pi band, and the shift -band of a residue s >= 1 from
-    row band - 1, below it: so it sums exactly the shifts below 2 pi band.
-    """
-    slots = np.arange(band * q).reshape(band, q)
-    return np.concatenate((f(slots * (TWO_PI / q)), np.full((1, q), -np.inf)))
-
-
-def _fold_symbol(rows: np.ndarray) -> np.ndarray:
-    """Truncated symbol on the Q residues 2 pi s / Q from spectrum rows 0 .. T.
-
-    Row r holds phihat(2 pi (r + s / Q)) in column s.  For s <= Q/2 the
-    shift j >= 0 is row j of column s, and the shift j < 0 is row |j| - 1
-    of column Q - s, or row |j| of column 0 when s = 0.  Each sum runs
-    from the smallest terms, row T, up to row 0.
-    """
-    h = rows.shape[1] // 2
-    half = rows[::-1, : h + 1].sum(axis=0)
-    half[0] += rows[:0:-1, 0].sum()
-    half[1:] += rows[-2::-1, : h - 1 : -1].sum(axis=0)
-    return _mirror_residues(half)
-
-
-def _log_cardinal(log_rows: np.ndarray) -> np.ndarray:
-    """``log(phihat / S)`` in place on the rows of a log spectrum, with S
-    folded from them by :func:`_fold_symbol`, and no under- or overflow.
-
-    The largest term of residue s is row 0 at column min(s, Q - s); each
-    residue's terms are divided by it before the sum.  So log S itself is
-    never formed: for a wide kernel it is so large that a factor of 2 in S
-    rounds away in it.
-    """
-    log_rows -= _mirror_residues(log_rows[0, : log_rows.shape[1] // 2 + 1])
-    log_rows -= np.log(_fold_symbol(np.exp(log_rows)))
-    return log_rows
+    rows = -(-flat.size // period)
+    padded = np.zeros(rows * period + 1)
+    padded[: flat.size] = flat
+    step = padded.strides[0]
+    blocks = np.lib.stride_tricks.as_strided(padded, (rows, period + 1), (period * step, step))
+    ends = blocks[::-1].sum(axis=0)
+    half = period // 2
+    return ends[: half + 1] + ends[: half - 1 : -1]
 
 
 def _ifft_band(head: np.ndarray, m: int) -> np.ndarray:
@@ -562,8 +525,8 @@ def build_cardinal_table(
     The transform ``Lhat = phihat / S`` is sampled on a frequency grid
     commensurate with the 2 pi periodization (spacing ``2 pi / Q`` for an
     integer Q), which makes the inverse DFT reproduce the cardinal property
-    ``L(j) = delta_{0 j}`` at integers up to rounding.  S is folded from
-    every shift below the band (see :func:`_spectrum_band`).
+    ``L(j) = delta_{0 j}`` at integers up to rounding.  S sums every shift
+    below the band (see :func:`_spectrum_band`).
     """
     if N < 4 or M < 4:
         raise DomainError("table requires N >= 4 and M >= 4")
@@ -575,19 +538,34 @@ def build_cardinal_table(
     band = _spectrum_band(k, epsilon, M)
     q = _next_pow2(max(_MIN_PERIOD, _PERIOD_FACTOR * N))
 
-    # log phihat on xi = 2 pi m / Q for the slots m below the band, as a
-    # (band, Q) array: column s holds the slots of symbol residue s, row r
-    # the xi in [2 pi r, 2 pi (r + 1)).  The symbol is folded from the same
-    # values, and Lhat = phihat / S is formed in log space: for wide kernels
-    # both numerator and denominator underflow while their ratio is order
-    # one.  Every family's transform depends on |xi| only, so the table's
-    # spectrum, of length p = M Q in FFT order, is even: _alias sums Lhat
-    # into its slots 0 .. p/2, and _ifft_band reads the mirrored slots.
-    rows = _log_cardinal(_symbol_rows(q, partial(log_kernel_fourier, k), band))
-    rows[rows < _LOG_TINY] = -np.inf
-    np.exp(rows, out=rows)
+    # log phihat on the flat slots xi = 2 pi i / Q, i < band Q, which hold
+    # exactly the shifts below 2 pi band: as a (band, Q) array, column s
+    # holds the shifts of symbol residue s, row r the xi in [2 pi r,
+    # 2 pi (r + 1)).  Each residue's terms are divided by its largest, row 0
+    # at column min(s, Q - s), and S on residues 0 .. Q/2 is their
+    # Q-periodization; S is even, so residue s > Q/2 reads it at Q - s.
+    # Lhat = phihat / S is formed in log space, and log S never: for a wide
+    # kernel phihat and S underflow, or log S is so large that a factor of 2
+    # in S rounds away in it, while their ratio is order one.
+    logs = log_kernel_fourier(k, np.arange(band * q) * (TWO_PI / q))
+    rows = logs.reshape(band, q)
+    fold = np.minimum(np.arange(q), q - np.arange(q))
+    rows -= rows[0, fold]
+    rows -= np.log(_periodize(np.exp(logs), q))[fold]
+    logs[logs < _LOG_TINY] = -np.inf
+    np.exp(logs, out=logs)
 
-    vals = _ifft_band(_alias(rows[:-1], M), M)
+    # Every family's transform depends on |xi| only, so the table's
+    # spectrum, of length p = M Q in FFT order, is even.  Sampling L at
+    # spacing 1/M sums it over the shifts 2 pi M k: its slots 0 .. p/2 are
+    # Lhat's slots summed over the period p, which moves them only where
+    # Lhat reaches past slot p/2.  _ifft_band reads the mirrored slots.
+    p = M * q
+    if logs.size > p // 2:
+        head = np.zeros((M // 2 + 1) * q)
+        head[: p // 2 + 1] = _periodize(logs, p)
+        logs = head
+    vals = _ifft_band(logs.reshape(-1, q), M)
     imag = vals.imag
     imag_max = max(float(imag.max()), -float(imag.min()))
     if not imag_max <= 1e-10:

@@ -181,7 +181,7 @@ def _get_table(cfg: dict, report=lambda *_: None):
 def _cmd_table(cfg: dict) -> int:
     table, kern = _get_table(cfg, report=lambda what, p: print(f"{what}: {p}"))
     n, m = table.half_width_N, table.oversample_M
-    vals = np.array([table.value_at_grid(j * m) for j in range(-n, n + 1)])
+    vals = table.values[::m]
     target = np.zeros(2 * n + 1)
     target[n] = 1.0
     residual = float(np.max(np.abs(vals - target)))

@@ -13,7 +13,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -65,7 +65,6 @@ class ErrorReport:
     window: float
     step: float
     self_check: float
-    metadata: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ class RateFit:
 
 
 def error_norms(
-    f: TestFunction, g: Callable, T: float = 4.0, step: float = 1.0 / 256.0, **metadata
+    f: TestFunction, g: Callable, T: float = 4.0, step: float = 1.0 / 256.0
 ) -> ErrorReport:
     """Composite-Simpson L2 and grid sup of |f - g| on [-T, T].
 
@@ -99,7 +98,7 @@ def error_norms(
     l2_fine = math.sqrt(max(0.0, simpson(sq, x=fine)))
     l2_coarse = math.sqrt(max(0.0, simpson(sq[::2], x=fine[::2])))
     check = abs(l2_fine - l2_coarse) / l2_fine if l2_fine > 0 else 0.0
-    return ErrorReport(l2_fine, float(diff.max()), T, step, check, dict(metadata))
+    return ErrorReport(l2_fine, float(diff.max()), T, step, check)
 
 
 def fit_rate(xs, log_errors) -> RateFit:

@@ -175,15 +175,6 @@ def bessel_k(nu: float, r):
     return out if np.ndim(r) else float(out)
 
 
-def bessel_k_upper_bound(nu: float, r):
-    """Upper bound sqrt(2 pi) r^(-1/2) e^(-r) e^(nu^2/(2r)) for K_nu(r)."""
-    if not np.isfinite(nu):
-        raise DomainError("bessel_k_upper_bound requires a finite order")
-    r_arr = _check_r(r)
-    out = np.sqrt(2.0 * np.pi / r_arr) * np.exp(-r_arr + nu * nu / (2.0 * r_arr))
-    return out if np.ndim(r) else float(out)
-
-
 def _kernel_spatial_inplace(k: Kernel, d: np.ndarray) -> np.ndarray:
     """Overwrite the float array ``d`` with phi(d) and return it.
 
@@ -246,8 +237,10 @@ def log_kernel_fourier(k: Kernel, xi):
     """
     absxi = np.abs(np.asarray(xi, dtype=float))
     if k.family == GAUSSIAN:
-        with np.errstate(over="ignore"):  # -inf for a tiny lambda, the log of 0
-            out = 0.5 * math.log(math.pi / k.lam) - absxi * absxi / (4.0 * k.lam)
+        # log(pi / lambda) as a difference: pi / lambda overflows for lambda
+        # below about 1.7e-308.  The xi term can still be -inf, the log of 0.
+        with np.errstate(over="ignore"):
+            out = 0.5 * (math.log(math.pi) - math.log(k.lam)) - absxi * absxi / (4.0 * k.lam)
     elif k.family == POISSON:
         out = math.log(math.pi / k.c) - k.c * absxi
     else:

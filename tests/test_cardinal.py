@@ -9,24 +9,20 @@ import contextlib
 import math
 import tracemalloc
 import warnings
-from functools import partial
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
 import mqcardinal as mq
 from mqcardinal.cardinal import (
     TWO_PI,
-    _fold_symbol,
-    _alias,
     _ifft_band,
-    _log_cardinal,
+    _periodize,
     _read_table,
-    _symbol_rows,
     _symbol_terms,
     periodized_symbol_lower_bound,
     reduce_frequency,
@@ -143,9 +139,13 @@ class TestComputeTau:
         log_eps=st.floats(-16.0, -4.0),
     )
     @settings(max_examples=60, deadline=None)
+    @example(family="poisson", log_width=math.log10(0.5), log_eps=-12.0)
+    @example(family="poisson", log_width=0.0, log_eps=-12.0)
+    @example(family=-0.8, log_width=0.0, log_eps=-12.0)
     def test_certificate_meets_eps(self, family, log_width, log_eps):
         # The shifts tau keeps against 8001, each summed exactly, on a grid
         # of xi* in [0, pi] (S is even) with 0 where phihat is finite there.
+        # For -1 <= alpha < 0 the symbol stays above the paper's D e^(-4 pi c).
         w, eps = 10.0**log_width, 10.0**log_eps
         if family == "gaussian":
             k = mq.gaussian(w)
@@ -165,6 +165,8 @@ class TestComputeTau:
         # with at most 2 tau roundings.
         got = mq.periodized_symbol(plan, xi)
         assert np.all(np.abs(got - cut) <= 2 * plan.tau * ulp * cut)
+        if family != "gaussian" and k.alpha >= -1.0:
+            assert np.all(got >= periodized_symbol_lower_bound(plan))
 
     def test_intermediate_alpha_guarantee(self):
         # The generic-envelope branch must still meet the epsilon contract.
@@ -240,13 +242,6 @@ class TestPeriodizedSymbol:
             b = mq.periodized_symbol(plan, xi + TWO_PI * 5)
             assert a == pytest.approx(b, rel=1e-14)
 
-    def test_lower_bound_holds(self):
-        for k in (mq.poisson(0.5), mq.poisson(1.0), mq.multiquadric(-0.8, 1.0)):
-            plan = mq.compute_tau(k, 1e-12)
-            bound = periodized_symbol_lower_bound(plan)
-            for xi in np.linspace(-math.pi + 1e-9, math.pi, 64):
-                assert mq.periodized_symbol(plan, float(xi)) >= bound
-
     def test_lower_bound_unsupported(self):
         plan = mq.compute_tau(mq.multiquadric(-1.5, 1.0), 1e-12)
         with pytest.raises(UnsupportedKernelError):
@@ -262,11 +257,12 @@ class TestPeriodizedSymbol:
 
 
 class TestSymbolFold:
-    """The table build's symbol, folded from the spectrum rows."""
+    """The table build's symbol: the Q-periodization of its spectrum slots."""
 
     @staticmethod
-    def residues(q):
-        return np.array([reduce_frequency(TWO_PI * s / q) for s in range(q)])
+    def slots(q, band):
+        """Flat slots 2 pi i / Q, i < band Q: the frequencies below 2 pi band."""
+        return np.arange(band * q) * (TWO_PI / q)
 
     @pytest.mark.parametrize(
         "k, eps",
@@ -281,35 +277,45 @@ class TestSymbolFold:
     )
     @pytest.mark.parametrize("m", [5, 16])
     def test_fold_matches_symbol_terms(self, k, eps, m):
-        # The rows up to band fold the shifts below 2 pi band: those of
-        # _symbol_terms to band - 1, and -band at the residues s >= 1.
+        # The slots below 2 pi band hold the shifts of _symbol_terms to
+        # band - 1, and -band at the residues s >= 1.
         band = mq.compute_tau(k, eps).tau + 1
         q = 4 * m
-        got = _fold_symbol(np.exp(_symbol_rows(q, partial(mq.log_kernel_fourier, k), band)))
-        xi = self.residues(q)
-        last = np.where(xi != 0.0, mq.kernel_fourier(k, TWO_PI * band - np.abs(xi)), 0.0)
+        got = _periodize(mq.kernel_fourier(k, self.slots(q, band)), q)
+        xi = TWO_PI * np.arange(q // 2 + 1) / q
+        last = np.where(xi != 0.0, mq.kernel_fourier(k, TWO_PI * band - xi), 0.0)
         want = _symbol_terms(k, band - 1, xi) + last
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
-    def test_rows_past_half_are_evaluated(self):
-        rows = _symbol_rows(8, lambda xi: 1.0 + xi, 5)
-        assert rows.shape == (6, 8)
-        r, s = np.mgrid[0:5, 0:8]
-        np.testing.assert_allclose(rows[:5], 1.0 + TWO_PI * (r + s / 8.0), rtol=1e-15)
-        assert np.all(rows[5] == -np.inf)
+    def test_rows_past_half_are_evaluated(self, monkeypatch):
+        # A spectrum that reaches past pi M: the build evaluates the
+        # transform once on every slot below the band, rows past M//2 too.
+        k, eps, m = mq.multiquadric(-2.5, 0.22), 5e-11, 48
+        band = cardinal._spectrum_band(k, eps, m)
+        assert band > m // 2 + 1
+        seen = []
+
+        def spy(kern, xi):
+            seen.append(np.array(xi, dtype=float))
+            return mq.log_kernel_fourier(kern, xi)
+
+        monkeypatch.setattr(cardinal, "log_kernel_fourier", spy)
+        mq.build_cardinal_table(k, eps, 32, m)
+        q = 2048
+        assert sum(np.array_equal(xi, self.slots(q, band)) for xi in seen) == 1
 
     @pytest.mark.parametrize("lam", [2.0, 0.05, 1.0 / 256.0])
     @pytest.mark.parametrize("m", [5, 16])
     def test_gaussian_log_fold_matches_logsumexp(self, lam, m):
+        # log S as the build forms it: each residue's terms divided by its
+        # largest, row 0 of column min(s, Q - s), before the sum.
         band = mq.compute_tau(mq.gaussian(lam), 1e-16).tau + 1
         q = 8 * m
         f = lambda xi: -xi * xi / (4.0 * lam)
-        rows = _symbol_rows(q, f, band)
-        # log S = log phihat - log Lhat on row 0, whose columns s <= Q/2 are
-        # their own residues; S is even.
-        half = rows[0, : q // 2 + 1] - _log_cardinal(rows.copy())[0, : q // 2 + 1]
-        got = np.concatenate((half, half[-2:0:-1]))
-        xi = self.residues(q)[:, None] + TWO_PI * np.arange(-band, band + 1)
+        rows = f(self.slots(q, band)).reshape(band, q)
+        top = rows[0, np.minimum(np.arange(q), q - np.arange(q))]
+        got = rows[0, : q // 2 + 1] + np.log(_periodize(np.exp(rows - top).ravel(), q))
+        xi = TWO_PI * np.arange(q // 2 + 1)[:, None] / q + TWO_PI * np.arange(-band, band + 1)
         expo = np.where(np.abs(xi) < TWO_PI * band, f(xi), -np.inf)  # shifts below 2 pi band
         want = special.logsumexp(expo, axis=1)
         assert np.all(np.isfinite(got))
@@ -627,10 +633,13 @@ class TestWidthRange:
 
     @given(
         family=st.sampled_from(["gaussian", "poisson", -0.75, -1.5, -2.5, -3.0]),
-        log_width=st.floats(-300.0, 300.0),
+        log_width=st.floats(math.log10(5e-324), 300.0),
         log_eps=st.floats(-16.0, -2.0),
     )
     @settings(max_examples=150, deadline=None)
+    # pi / lambda overflowed, and the gaussian's log transform was nan.
+    @example(family="gaussian", log_width=-310.0, log_eps=-10.0)
+    @example(family="gaussian", log_width=math.log10(5e-324), log_eps=-10.0)
     def test_result_or_typed_error(self, family, log_width, log_eps):
         # Warnings are errors (pyproject.toml), so an overflow warning fails.
         w, eps = 10.0**log_width, 10.0**log_eps
@@ -713,22 +722,37 @@ class TestTableTransform:
         # -xi, summed into the slots they land on mod p.
         q = 16
         p = m * q
-        rows = np.random.default_rng(p).standard_normal((5 * m // 2, q))
-        flat = rows.ravel()
+        flat = np.random.default_rng(p).standard_normal(5 * p // 2)
         full = np.zeros(p)
         np.add.at(full, np.arange(flat.size) % p, flat)
         np.add.at(full, -np.arange(1, flat.size) % p, flat[1:])
-        spec = _alias(rows, m)
-        assert spec.shape == (m // 2 + 1, q) and spec.dtype == float
-        np.testing.assert_allclose(
-            spec.ravel()[: p // 2 + 1], full[: p // 2 + 1], rtol=1e-13, atol=1e-13
-        )
-        assert np.all(spec.ravel()[p // 2 + 1 :] == 0.0)
-        short = rows[: m // 2]
-        assert _alias(short, m) is short
+        spec = _periodize(flat, p)
+        assert spec.shape == (p // 2 + 1,) and spec.dtype == float
+        np.testing.assert_allclose(spec, full[: p // 2 + 1], rtol=1e-13, atol=1e-13)
+        short = flat[: p // 2 - 3]
+        assert np.array_equal(_periodize(short, p), np.append(short, np.zeros(4)))
+        head = np.zeros((m // 2 + 1) * q)
+        head[: p // 2 + 1] = spec
         want = (m * np.fft.ifft(full)).reshape(q, m).T[: m // 2 + 1]
-        got = _ifft_band(spec, m)
+        got = _ifft_band(head.reshape(-1, q), m)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+    @given(
+        half=st.integers(1, 40),
+        size=st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_periodize_matches_scatter(self, half, size, seed):
+        # Slot i of f, for i of both signs, scattered onto i mod period.
+        period = 2 * half
+        flat = np.random.default_rng(seed).standard_normal(size)
+        i = np.arange(1 - size, size)
+        full = np.zeros(period)
+        np.add.at(full, i % period, flat[np.abs(i)])
+        got = _periodize(flat, period)
+        assert got.shape == (half + 1,)
+        np.testing.assert_allclose(got, full[: half + 1], rtol=0, atol=1e-13 * np.abs(flat).sum())
 
     def test_build_peak_memory(self):
         # A complex (M, Q) spectrum alone is 3 MiB here, so the build must
@@ -803,16 +827,18 @@ class TestSpectrumBand:
         # The band the build cuts at: the first row r >= 1 with
         # phihat(2 pi r) < 2^-60 / M of phihat(pi), and Lhat, from the
         # full symbol, on every slot of the rows it leaves 0.
-        seen = {}
-        symbol_rows = cardinal._symbol_rows
+        seen = []
+        periodize = cardinal._periodize
 
-        def spy_symbol_rows(q, f, band):
-            seen.update(q=q, band=band)
-            return symbol_rows(q, f, band)
+        def spy_periodize(flat, period):
+            seen.append((flat.size, period))
+            return periodize(flat, period)
 
-        monkeypatch.setattr(cardinal, "_symbol_rows", spy_symbol_rows)
+        monkeypatch.setattr(cardinal, "_periodize", spy_periodize)
         mq.build_cardinal_table(k, 1e-12, 32, m)
-        band, q = seen["band"], seen["q"]
+        # The first call sums the symbol: band rows of Q slots, period Q.
+        size, q = seen[0]
+        band = size // q
         share = mq.log_kernel_fourier(k, TWO_PI * np.arange(1, band + 1)) - mq.log_kernel_fourier(
             k, math.pi
         )
