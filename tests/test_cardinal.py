@@ -242,6 +242,13 @@ class TestPeriodizedSymbol:
             b = mq.periodized_symbol(plan, xi + TWO_PI * 5)
             assert a == pytest.approx(b, rel=1e-14)
 
+    def test_lower_bound_holds(self):
+        for k in (mq.poisson(0.5), mq.poisson(1.0), mq.multiquadric(-0.8, 1.0)):
+            plan = mq.compute_tau(k, 1e-12)
+            bound = periodized_symbol_lower_bound(plan)
+            for xi in np.linspace(-math.pi + 1e-9, math.pi, 64):
+                assert mq.periodized_symbol(plan, float(xi)) >= bound
+
     def test_lower_bound_unsupported(self):
         plan = mq.compute_tau(mq.multiquadric(-1.5, 1.0), 1e-12)
         with pytest.raises(UnsupportedKernelError):
