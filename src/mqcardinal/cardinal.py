@@ -7,10 +7,10 @@ symbol functions truncate the periodization to ``2 tau + 1`` terms, with
 tau chosen so the truncation carries relative error at most epsilon.  The
 table build needs no tau.  It samples phihat at spacing 2 pi / Q up to the
 band where the transform falls below rounding, and one routine,
-:func:`_periodize`, sums those even samples over a period twice: over Q
-slots for the symbol S, and, where Lhat reaches past pi M, over M Q slots,
-as sampling L at spacing 1/M does to Lhat.  An FFT inverts the result; L is
-then evaluated off-grid by local polynomial interpolation.
+:func:`_periodize`, sums those even samples over Q slots for the symbol
+S.  A pruned FFT inverts Lhat; its column step sums Lhat over the period
+2 pi M, as sampling L at spacing 1/M does.  L is then evaluated off-grid
+by local polynomial interpolation.
 """
 
 from __future__ import annotations
@@ -436,32 +436,32 @@ def _periodize(flat: np.ndarray, period: int) -> np.ndarray:
 
 
 def _ifft_band(head: np.ndarray, m: int) -> np.ndarray:
-    """Rows 0 .. M//2 of ``M * ifft(x)``, x the even real sequence of length
-    p = M Q whose slots 0 .. p/2 are the flat (rows, Q) ``head``, then 0.
+    """Rows 0 .. M//2 of ``M * ifft(x)``, x of length p = M Q the sum of f
+    over the shifts k p, with f the even sequence on the integers whose
+    slots 0, 1, ... are the flat (rows, Q) ``head`` and whose others are 0.
 
     Entry ``[t, j]`` is output ``j M + t``.  With input index ``Q r + s``,
     the transform splits into length-M transforms down the columns of x as
     an (M, Q) array, a twiddle ``exp(2 pi i s t / p)`` and length-Q
     transforms along the rows (the four-step FFT).  Output ``j M + t`` for
     t > M/2 equals output ``(Q - 1 - j) M + (M - t)``, so only rows
-    t <= M/2 are formed.  Only head's rows and their mirrors are nonzero,
-    so the column step is a dense product with them (FFT pruning): row
-    M - r of x is ``g[r]``, whose exponent -r t / M pairs it with head's
-    row r, so the step is ``cos(2 pi r t / M) @ (head + g) + i sin(2 pi r t
-    / M) @ (head - g)``.  Slot p/2 is its own mirror and is left out of g.
+    t <= M/2 are formed.  The column step's exponent ``2 pi r t / M`` has
+    period M in r, so it sums any row r of f onto row r mod M of x, rows of
+    either sign and past M too: only head's rows and their mirrors are
+    nonzero, and the step is a dense product with them (FFT pruning).  Row
+    -r of f is ``g[r]``, whose exponent -r t / M pairs it with head's row
+    r, so the step is ``cos(2 pi r t / M) @ (head + g) + i sin(2 pi r t /
+    M) @ (head - g)``.
     """
     rows, q = head.shape
-    p, half, h = m * q, m * q // 2, m // 2
+    p, h = m * q, m // 2
     ext = np.zeros((rows + 1, q))
     ext[:rows] = head
-    # Slot p - i holds slot i: g[r] is head[r, 0] in column 0 and
+    # Slot -i holds slot i: g[r] is head[r, 0] in column 0 and
     # head[r - 1, Q - s] in column s >= 1.
     g = np.zeros_like(ext)
     g[1:, 0] = ext[1:, 0]
     g[1:, 1:] = head[:, :0:-1]
-    if half < rows * q:
-        r = -(-half // q)
-        g[r, r * q - half] = 0.0
     angle = (TWO_PI / m) * np.outer(np.arange(h + 1), np.arange(rows + 1))
     out = np.empty((h + 1, q), dtype=complex)
     np.matmul(np.cos(angle), ext + g, out=out.real)
@@ -556,16 +556,9 @@ def build_cardinal_table(
     np.exp(logs, out=logs)
 
     # Every family's transform depends on |xi| only, so the table's
-    # spectrum, of length p = M Q in FFT order, is even.  Sampling L at
-    # spacing 1/M sums it over the shifts 2 pi M k: its slots 0 .. p/2 are
-    # Lhat's slots summed over the period p, which moves them only where
-    # Lhat reaches past slot p/2.  _ifft_band reads the mirrored slots.
-    p = M * q
-    if logs.size > p // 2:
-        head = np.zeros((M // 2 + 1) * q)
-        head[: p // 2 + 1] = _periodize(logs, p)
-        logs = head
-    vals = _ifft_band(logs.reshape(-1, q), M)
+    # spectrum is even.  Sampling L at spacing 1/M sums it over the shifts
+    # 2 pi M k, which _ifft_band's column step does for every row it reads.
+    vals = _ifft_band(logs.reshape(band, q), M)
     imag = vals.imag
     imag_max = max(float(imag.max()), -float(imag.min()))
     if not imag_max <= 1e-10:

@@ -2,8 +2,9 @@
 
 Four subcommands: ``tau`` (truncation report), ``table`` (build/cache a
 cardinal table), ``interp`` (interpolate a sample file onto a probe grid),
-and ``study`` (run one of the named experiments).  Options may come from
-flags or a JSON config file (flags win); unknown config keys are rejected.
+and ``study`` (run one of the named experiments).  A subcommand's options
+may come from flags or a JSON config file (flags win); a config key that is
+not one of the subcommand's own options is rejected.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage or configuration error.
 """
@@ -43,8 +44,8 @@ _STUDIES = ("c-conv", "h-conv", "noise", "jitter", "conditioning")
 
 
 def _build_parser():
-    """The parser, and the option of each key a JSON config may set: every
-    subcommand's options but --config, shared across subcommands."""
+    """The parser, and each subcommand's options by name: the keys its JSON
+    config may set, which are all its options but --config."""
     parser = argparse.ArgumentParser(
         prog="mqcardinal",
         description="Cardinal-function interpolation with multiquadric, "
@@ -52,45 +53,49 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="JSON config file; explicit flags override it")
+    def add_kernel(p):
         p.add_argument("--family", choices=(MULTIQUADRIC, POISSON, GAUSSIAN))
         p.add_argument("--alpha", type=float)
         p.add_argument("--c", type=float)
         p.add_argument("--lambda", dest="lam", type=float)
         p.add_argument("--eps", type=float)
+
+    def add_table(p):
+        add_kernel(p)
         p.add_argument("--N", type=int)
         p.add_argument("--M", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
+        p.add_argument("--order", type=int, help="table interpolation order (2 or 4)")
         p.add_argument("--cache")
+        p.add_argument("--out")
 
-    p_tau = sub.add_parser("tau", help="report the truncation parameter")
-    add_common(p_tau)
-
-    p_table = sub.add_parser("table", help="build (or fetch from cache) a cardinal table")
-    add_common(p_table)
-    p_table.add_argument("--order", type=int, help="table interpolation order (2 or 4)")
+    add_kernel(sub.add_parser("tau", help="report the truncation parameter"))
+    add_table(sub.add_parser("table", help="build (or fetch from cache) a cardinal table"))
 
     p_interp = sub.add_parser("interp", help="interpolate a two-column sample file")
-    add_common(p_interp)
+    add_table(p_interp)
     p_interp.add_argument("--samples", help="two-column text file of (node, value)")
     p_interp.add_argument("--probe", help="probe grid lo:hi:count (default from samples)")
     p_interp.add_argument("--mode", choices=("auto", "grid", "scattered"))
 
     p_study = sub.add_parser("study", help="run a named experiment")
-    add_common(p_study)
     p_study.add_argument("name", nargs="?", help=f"one of {', '.join(_STUDIES)}")
     p_study.add_argument("--study", dest="study")
+    p_study.add_argument("--out", help="output directory")
+    p_study.add_argument("--seed", type=int)
     p_study.add_argument("--delta", type=float)
     p_study.add_argument("--jitter", type=float, help="maximum jitter magnitude")
     p_study.add_argument("--pattern")
     p_study.add_argument("--degree", type=int, help="B-spline degree for h-conv/noise")
     p_study.add_argument("--tag")
-    options = {
-        a.dest: a for p in sub.choices.values() for a in p._actions
-        if a.option_strings and a.dest not in ("help", "config")
-    }
+
+    options = {}
+    for name, p in sub.choices.items():
+        p.add_argument("--config", help="JSON config file; explicit flags override it")
+        # No prefixes: `study --c 2` would read a config file named 2.
+        p.allow_abbrev = False
+        options[name] = {
+            a.dest: a for a in p._actions if a.option_strings and a.dest not in ("help", "config")
+        }
     return parser, options
 
 
@@ -284,7 +289,7 @@ def main(argv=None) -> int:
     parser, options = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args, options)
+        cfg = _merge_config(args, options[args.command])
         if args.command == "tau":
             return _cmd_tau(cfg)
         if args.command == "table":

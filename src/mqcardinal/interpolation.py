@@ -258,9 +258,9 @@ def gram_condition(nodes, k: Kernel) -> float:
     nodes = np.asarray(nodes, dtype=float)
     if nodes.size > _COND_MAX_NODES:
         raise DomainError(f"gram_condition capped at {_COND_MAX_NODES} nodes")
-    if np.unique(nodes).size != nodes.size:
-        raise DomainError("nodes must be distinct")
-    mat = _gram_matrix(np.sort(nodes), k)
+    nodes = np.sort(nodes)
+    _check_nodes(nodes)
+    mat = _gram_matrix(nodes, k)
     try:
         lu = _factor_gram(mat)
     except IllConditionedError:

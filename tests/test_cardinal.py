@@ -695,13 +695,13 @@ class TestDeltaResidual:
         assert np.max(np.abs(t.values[::m] - delta)) <= 1e-13
 
 
-def even_flat(head, m):
-    """The even length-p sequence whose slots 0 .. p/2 are head's flat form."""
-    p = m * head.shape[1]
-    half = np.zeros(p // 2 + 1)
-    filled = head.ravel()[: p // 2 + 1]
-    half[: filled.size] = filled
-    return np.concatenate((half, half[1 : (p + 1) // 2][::-1]))
+def scatter(flat, p):
+    """The even sequence on the integers whose slots 0, 1, ... are ``flat``,
+    each slot i of either sign added onto i mod p."""
+    full = np.zeros(p)
+    np.add.at(full, np.arange(flat.size) % p, flat)
+    np.add.at(full, -np.arange(1, flat.size) % p, flat[1:])
+    return full
 
 
 class TestTableTransform:
@@ -709,16 +709,14 @@ class TestTableTransform:
 
     @pytest.mark.parametrize("m, q", [(4, 16), (5, 32), (6, 16), (7, 64), (24, 2048), (64, 4096)])
     def test_ifft_even_matches_numpy(self, m, q):
-        # Every row count from 1 to M//2 + 1.  At M//2 + 1 the mirror of row
-        # M//2 - 1 (even M) or M//2 (odd M) lands in a filled row, and slot
-        # p/2 is its own mirror: a random value there counted twice fails.
+        # Every row count from 1 to M + 2.  Past M//2 rows the mirrors land
+        # in filled rows, and slot p/2 takes both slot p/2 and slot -p/2;
+        # past M rows the column step sums rows r and r - M onto one row.
         p = m * q
         rng = np.random.default_rng(p)
-        for rows in range(1, m // 2 + 2):
+        for rows in range(1, m + 3):
             head = rng.standard_normal((rows, q))
-            head.ravel()[p // 2 + 1 :] = 0.0
-            flat = even_flat(head, m)
-            want = (m * np.fft.ifft(flat)).reshape(q, m).T[: m // 2 + 1]
+            want = (m * np.fft.ifft(scatter(head.ravel(), p))).reshape(q, m).T[: m // 2 + 1]
             got = _ifft_band(head, m)
             # Entry [t, j] holds output j M + t, for rows t <= M/2.
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
@@ -730,16 +728,14 @@ class TestTableTransform:
         q = 16
         p = m * q
         flat = np.random.default_rng(p).standard_normal(5 * p // 2)
-        full = np.zeros(p)
-        np.add.at(full, np.arange(flat.size) % p, flat)
-        np.add.at(full, -np.arange(1, flat.size) % p, flat[1:])
+        full = scatter(flat, p)
         spec = _periodize(flat, p)
         assert spec.shape == (p // 2 + 1,) and spec.dtype == float
         np.testing.assert_allclose(spec, full[: p // 2 + 1], rtol=1e-13, atol=1e-13)
         short = flat[: p // 2 - 3]
         assert np.array_equal(_periodize(short, p), np.append(short, np.zeros(4)))
-        head = np.zeros((m // 2 + 1) * q)
-        head[: p // 2 + 1] = spec
+        head = np.zeros(-(-flat.size // q) * q)
+        head[: flat.size] = flat
         want = (m * np.fft.ifft(full)).reshape(q, m).T[: m // 2 + 1]
         got = _ifft_band(head.reshape(-1, q), m)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
@@ -754,12 +750,9 @@ class TestTableTransform:
         # Slot i of f, for i of both signs, scattered onto i mod period.
         period = 2 * half
         flat = np.random.default_rng(seed).standard_normal(size)
-        i = np.arange(1 - size, size)
-        full = np.zeros(period)
-        np.add.at(full, i % period, flat[np.abs(i)])
         got = _periodize(flat, period)
         assert got.shape == (half + 1,)
-        np.testing.assert_allclose(got, full[: half + 1], rtol=0, atol=1e-13 * np.abs(flat).sum())
+        np.testing.assert_allclose(got, scatter(flat, period)[: half + 1], rtol=0, atol=1e-13 * np.abs(flat).sum())
 
     def test_build_peak_memory(self):
         # A complex (M, Q) spectrum alone is 3 MiB here, so the build must

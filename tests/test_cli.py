@@ -1,6 +1,8 @@
 """Command-line interface tests via main() return codes and captured output."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -223,11 +225,18 @@ class TestConfigMerge:
         code, _, err = run_cli(capsys, "tau", "--config", str(tmp_path / "none.json"))
         assert code == 2 and "cannot read config" in err
 
-    @pytest.mark.parametrize("key, val", [("N", "many"), ("eps", True), ("mode", "bogus")])
-    def test_malformed_config_value_is_usage_error(self, capsys, tmp_path, key, val):
+    @pytest.mark.parametrize(
+        "command, key, val",
+        [
+            pytest.param("table", "N", "many", id="N-many"),
+            pytest.param("table", "eps", True, id="eps-True"),
+            pytest.param("interp", "mode", "bogus", id="mode-bogus"),
+        ],
+    )
+    def test_malformed_config_value_is_usage_error(self, capsys, tmp_path, command, key, val):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: val}))
-        code, _, err = run_cli(capsys, "table", "--config", str(cfg))
+        code, _, err = run_cli(capsys, command, "--config", str(cfg))
         assert code == 2 and f"config value {key}=" in err
 
     def test_bare_value_error_is_not_a_usage_error(self, monkeypatch):
@@ -245,3 +254,94 @@ class TestConfigMerge:
         cfg.write_text("[1, 2]")
         code, _, err = run_cli(capsys, "tau", "--config", str(cfg))
         assert code == 2 and "JSON object" in err
+
+
+KERNEL = {"--family", "--alpha", "--c", "--lambda", "--eps"}
+TABLE = KERNEL | {"--N", "--M", "--order", "--cache", "--out"}
+FLAGS = {
+    "tau": KERNEL,
+    "table": TABLE,
+    "interp": TABLE | {"--samples", "--probe", "--mode"},
+    "study": {"--study", "--out", "--seed", "--delta", "--jitter", "--pattern", "--degree", "--tag"},
+}
+
+
+class TestOptionSets:
+    """Each subcommand takes, from flags or a config, only the options it reads."""
+
+    @staticmethod
+    def subparsers():
+        parser, options = cli._build_parser()
+        (sub,) = (a for a in parser._actions if a.dest == "command")
+        return sub.choices, options
+
+    def test_flag_sets(self):
+        parsers, _ = self.subparsers()
+        assert set(parsers) == set(FLAGS)
+        for name, p in parsers.items():
+            flags = {f for a in p._actions for f in a.option_strings}
+            assert flags - {"-h", "--help", "--config"} == FLAGS[name], name
+            positional = [a.dest for a in p._actions if not a.option_strings]
+            assert positional == (["name"] if name == "study" else []), name
+
+    def test_config_keys_are_the_flags(self):
+        parsers, options = self.subparsers()
+        assert set(options) == set(FLAGS)
+        for name, keys in options.items():
+            assert {keys[k].option_strings[0] for k in keys} == FLAGS[name], name
+            assert {"help", "config", "name"}.isdisjoint(keys)
+        assert sum(map(len, options.values())) == 36
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("study", "h-conv", "--c", "2", "--eps", "1e-8", "--M", "128"),
+            ("tau", "--out", "t.txt"),
+            ("tau", "--N", "8"),
+            ("table", "--seed", "1"),
+            ("interp", "--seed", "1"),
+        ],
+    )
+    def test_flag_of_another_subcommand_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in captured.err and "PASS" not in captured.out
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, key, val",
+        [("table", "delta", 1e-3), ("table", "pattern", "uniform"), ("table", "mode", "grid"),
+         ("tau", "N", 8), ("interp", "seed", 1), ("study", "c", 2.0)],
+    )
+    def test_config_key_of_another_subcommand_is_usage_error(self, capsys, tmp_path, command,
+                                                            key, val):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: val}))
+        code, _, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2 and f"unknown config keys: {key}" in err
+
+    def test_interp_order_flag_matches_config(self, capsys, tmp_path):
+        n = 8
+        path = tmp_path / "samples.txt"
+        path.write_text("".join(f"{x:.17g} {np.sin(x):.17g}\n" for x in np.arange(-n, n + 1) / n))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"order": 2}))
+        base = ("interp", "--samples", str(path), "--probe=-0.93:0.91:7")  # off the table grid
+        _, by_flag, _ = run_cli(capsys, *base, "--order", "2")
+        _, by_config, _ = run_cli(capsys, *base, "--config", str(cfg))
+        _, cubic, _ = run_cli(capsys, *base)
+        assert by_flag == by_config != cubic
+
+    def test_installed_entry_point_exits_2_without_traceback(self, tmp_path):
+        # The study once ran with c = 1 and printed PASS.
+        run = subprocess.run(
+            [sys.executable, "-m", "mqcardinal.cli", "study", "h-conv", "--c", "2",
+             "--out", str(tmp_path)],
+            capture_output=True, text=True,
+        )
+        assert run.returncode == 2
+        assert "unrecognized arguments: --c 2" in run.stderr and "Traceback" not in run.stderr
+        assert list(tmp_path.iterdir()) == []

@@ -380,3 +380,9 @@ class TestGramCondition:
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(DomainError):
             mq.gram_condition(np.array([0.0, 0.0, 1.0]), mq.poisson(1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_nodes_rejected(self, bad):
+        # A NaN node returned inf, and an infinite one raised a RuntimeWarning.
+        with pytest.raises(DomainError, match="finite"):
+            mq.gram_condition(np.array([0.0, bad, 1.0]), mq.poisson(1.0))
