@@ -4,7 +4,8 @@ Four subcommands: ``tau`` (truncation report), ``table`` (build/cache a
 cardinal table), ``interp`` (interpolate a sample file onto a probe grid),
 and ``study`` (run one of the named experiments).  A subcommand's options
 may come from flags or a JSON config file (flags win); a config key that is
-not one of the subcommand's own options is rejected.
+not one of the subcommand's own options is rejected, and so is a study
+option that the named study does not read.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage or configuration error.
 """
@@ -41,6 +42,9 @@ from .kernels import GAUSSIAN, MULTIQUADRIC, POISSON, Kernel, gaussian, multiqua
 from .sampling import NoiseSpec
 
 _STUDIES = ("c-conv", "h-conv", "noise", "jitter", "conditioning")
+# The study options each study reads besides study, out and tag.
+_STUDY_OPTIONS = {"h-conv": ("degree",), "noise": ("seed", "delta"),
+                  "jitter": ("seed", "jitter", "pattern")}
 
 
 def _build_parser():
@@ -81,11 +85,11 @@ def _build_parser():
     p_study.add_argument("name", nargs="?", help=f"one of {', '.join(_STUDIES)}")
     p_study.add_argument("--study", dest="study")
     p_study.add_argument("--out", help="output directory")
-    p_study.add_argument("--seed", type=int)
-    p_study.add_argument("--delta", type=float)
-    p_study.add_argument("--jitter", type=float, help="maximum jitter magnitude")
-    p_study.add_argument("--pattern")
-    p_study.add_argument("--degree", type=int, help="B-spline degree for h-conv/noise")
+    p_study.add_argument("--seed", type=int, help="random seed (noise and jitter only)")
+    p_study.add_argument("--delta", type=float, help="noise level (noise only)")
+    p_study.add_argument("--jitter", type=float, help="maximum jitter magnitude (jitter only)")
+    p_study.add_argument("--pattern", help="jitter pattern (jitter only)")
+    p_study.add_argument("--degree", type=int, help="B-spline degree (h-conv only)")
     p_study.add_argument("--tag")
 
     options = {}
@@ -247,6 +251,10 @@ def _cmd_study(cfg: dict, name: str | None) -> int:
     study = name or cfg.get("study")
     if study not in _STUDIES:
         raise ConfigError(f"unknown study {study!r}; choose from {', '.join(_STUDIES)}")
+    unread = set(cfg) - {"study", "out", "tag", *_STUDY_OPTIONS.get(study, ())}
+    if unread:
+        raise ConfigError(f"study {study} does not read: "
+                          f"{', '.join('--' + key for key in sorted(unread))}")
     out_dir = cfg.get("out", ".")
     tag = cfg.get("tag", "run")
     seed = int(cfg.get("seed", 0))
@@ -287,7 +295,11 @@ def _cmd_study(cfg: dict, name: str | None) -> int:
 
 def main(argv=None) -> int:
     parser, options = _build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        # Reported by the subcommand's parser, so the usage shows its flags.
+        (commands,) = (a for a in parser._actions if a.dest == "command")
+        commands.choices[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         cfg = _merge_config(args, options[args.command])
         if args.command == "tau":

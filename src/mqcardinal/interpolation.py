@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import lapack
 
 from .cardinal import _SERIES_PAD, CardinalTable, _lagrange, series_samples
 from .errors import (
@@ -193,11 +194,31 @@ class GramInterpolant:
         return gram_condition(self.nodes, self.kernel)
 
 
+def _block_rows(n: int) -> int:
+    """Rows of one block of kernel values against n nodes: a multiple of 64
+    holding about ``_EVAL_BLOCK_BYTES``."""
+    return max(64, _EVAL_BLOCK_BYTES // (8 * n) // 64 * 64)
+
+
 def _gram_matrix(nodes: np.ndarray, k: Kernel) -> np.ndarray:
-    # A kernel value that overflows leaves inf in the matrix, which
-    # _factor_gram reports as IllConditionedError.
+    """phi(x_j - x_k), filled in cache-sized row blocks of eval_gram's size;
+    the entries are bit-identical to one broadcast expression.
+
+    :func:`fit_gram` solves with it by Cholesky and one refinement step, and
+    raises IllConditionedError if it is not positive definite to working
+    precision.  The condition estimate stays its LU power estimate.
+    """
+    n = nodes.size
+    rows = _block_rows(n)
+    mat = np.empty((n, n))
+    # A kernel value that overflows leaves inf in the matrix, which the
+    # factorizations report as IllConditionedError.
     with np.errstate(over="ignore"):
-        return _kernel_spatial_inplace(k, nodes[:, None] - nodes[None, :])
+        for i in range(0, n, rows):
+            block = mat[i : i + rows]
+            np.subtract(nodes[i : i + rows, None], nodes[None, :], out=block)
+            _kernel_spatial_inplace(k, block)
+    return mat
 
 
 def _power_condition(mat: np.ndarray, lu_and_piv, iters: int = 50, rtol: float = 1e-3):
@@ -221,33 +242,52 @@ def _power_condition(mat: np.ndarray, lu_and_piv, iters: int = 50, rtol: float =
             est = new
         return est
 
+    lu, piv = lu_and_piv
     hi = extreme(lambda v: mat @ v)
-    inv_hi = extreme(lambda v: linalg.lu_solve(lu_and_piv, v))
+    inv_hi = extreme(lambda v: lapack.dgetrs(lu, piv, v)[0])
     if not np.isfinite(inv_hi) or inv_hi == 0.0:
         return float("inf")
     return hi * inv_hi
 
 
-def _factor_gram(mat: np.ndarray):
-    """LU factors of a Gram matrix, for ``lu_solve`` and ``_power_condition``.
+def _lu_condition(mat: np.ndarray) -> float:
+    """LU power estimate of a Gram matrix: ``inf`` when it has a non-finite
+    entry (a kernel value that overflowed) or is exactly singular (a zero
+    pivot), NaN above ``_COND_MAX_NODES`` rows.
 
-    A matrix with a non-finite entry (a kernel value that overflowed), or an
-    exactly singular one (a zero pivot), raises IllConditionedError with an
-    infinite condition estimate.  The scan of the factors is the one
-    finiteness check: non-finite entries make non-finite factors.
-    ``lu_factor`` only warns on a zero pivot, and a solve would then leak NaNs.
+    The scan of the factors is the one finiteness check: non-finite entries
+    make non-finite factors.  ``lu_factor`` only warns on a zero pivot.
     """
+    if mat.shape[0] > _COND_MAX_NODES:
+        return float("nan")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", linalg.LinAlgWarning)
         lu = linalg.lu_factor(mat, check_finite=False)
-    if not np.all(np.isfinite(lu[0])):
-        raise IllConditionedError("gram matrix or its LU factors are not finite; "
+    if not np.all(np.isfinite(lu[0])) or np.any(np.diag(lu[0]) == 0.0):
+        return float("inf")
+    return float(_power_condition(mat, lu))
+
+
+def _factor_gram(mat: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a Gram matrix, for ``dpotrs``.
+
+    The fit is a Cholesky solve with one refinement step.  A matrix that is
+    not positive definite to working precision raises IllConditionedError,
+    whose condition estimate stays the LU power estimate
+    (:func:`_lu_condition`).  A non-finite factor diagonal (a kernel value
+    that overflowed) raises it with an infinite estimate.
+    """
+    # mat.T is the F-ordered view of the symmetric mat: f2py copies it as
+    # it is, and mat stays intact for the refinement.
+    chol, info = lapack.dpotrf(mat.T, lower=1, clean=0, overwrite_a=0)
+    if not np.all(np.isfinite(np.diagonal(chol))):
+        raise IllConditionedError("gram matrix or its Cholesky factor is not finite; "
                                   "the kernel may overflow at these nodes",
                                   cond_estimate=float("inf"))
-    if np.any(np.diag(lu[0]) == 0.0):
-        raise IllConditionedError("gram matrix is singular to working precision",
-                                  cond_estimate=float("inf"))
-    return lu
+    if info > 0:
+        raise IllConditionedError("gram matrix is not positive definite to working precision",
+                                  cond_estimate=_lu_condition(mat))
+    return chol
 
 
 def gram_condition(nodes, k: Kernel) -> float:
@@ -260,40 +300,36 @@ def gram_condition(nodes, k: Kernel) -> float:
         raise DomainError(f"gram_condition capped at {_COND_MAX_NODES} nodes")
     nodes = np.sort(nodes)
     _check_nodes(nodes)
-    mat = _gram_matrix(nodes, k)
-    try:
-        lu = _factor_gram(mat)
-    except IllConditionedError:
-        return float("inf")
-    return float(_power_condition(mat, lu))
+    return _lu_condition(_gram_matrix(nodes, k))
 
 
 def fit_gram(s: SampleSet, k: Kernel) -> GramInterpolant:
-    """Solve the Gram system M a = y by a symmetric factorization.
+    """Solve the Gram system M a = y by Cholesky, with one refinement step.
 
-    One step of iterative refinement is applied; if the refined residual
-    still exceeds 1e-8 * ||y||, the system is reported as ill-conditioned
-    (no silent regularization), with the condition estimate from this
-    factorization.  A successful fit computes no estimate; the interpolant's
-    ``cond_estimate`` does on first read.
+    Every admitted kernel (a multiquadric with alpha < -1/2, or a gaussian)
+    is strictly positive definite.  If M is not positive definite to working
+    precision, or the refined residual still exceeds 1e-8 * ||y||, the
+    system is reported as ill-conditioned (no silent regularization), with
+    the condition estimate of :func:`gram_condition`: the LU power estimate
+    of M.  A non-finite M gives an infinite estimate.  A successful fit
+    computes no estimate; the interpolant's ``cond_estimate`` does on first
+    read.
     """
     if k.family != GAUSSIAN and k.alpha >= -0.5:
         raise DomainError("gram interpolation requires alpha < -1/2")
-    n = s.nodes.size
-    if n > _GRAM_MAX_NODES:
+    if s.nodes.size > _GRAM_MAX_NODES:
         raise DomainError(f"fit_gram capped at {_GRAM_MAX_NODES} nodes")
     mat = _gram_matrix(s.nodes, k)
     y = s.values
-    lu = _factor_gram(mat)
-    a = linalg.lu_solve(lu, y)
-    a = a + linalg.lu_solve(lu, y - mat @ a)  # one refinement step
+    chol = _factor_gram(mat)
+    a = lapack.dpotrs(chol, y, lower=1)[0]
+    a = a + lapack.dpotrs(chol, y - mat @ a, lower=1)[0]  # one refinement step
     y_norm = float(np.linalg.norm(y))
     residual = float(np.linalg.norm(mat @ a - y))
     if not np.all(np.isfinite(a)) or (y_norm > 0 and residual > _RESIDUAL_RTOL * y_norm):
         raise IllConditionedError(
             f"gram residual {residual:.3g} exceeds {_RESIDUAL_RTOL:g} * ||y||",
-            cond_estimate=(_power_condition(mat, lu) if n <= _COND_MAX_NODES
-                           else float("nan")),
+            cond_estimate=_lu_condition(mat),
         )
     return GramInterpolant(s.nodes.copy(), a, k)
 
@@ -307,7 +343,7 @@ def eval_gram(g: GramInterpolant, x):
     x_arr = np.asarray(x, dtype=float)
     probes = x_arr.ravel()
     nodes = g.nodes
-    rows = max(64, _EVAL_BLOCK_BYTES // (8 * nodes.size) // 64 * 64)
+    rows = _block_rows(nodes.size)
     buf = np.empty((min(rows, probes.size), nodes.size))
     vals = np.empty(probes.size)
     for i in range(0, probes.size, rows):

@@ -181,6 +181,8 @@ def _kernel_spatial_inplace(k: Kernel, d: np.ndarray) -> np.ndarray:
     The operations and their order are those of exp((-lam x) x) and
     (x x + c c)^alpha, so values are bit-identical to the plain expressions.
     The multiquadric allocates nothing; the gaussian needs one temporary.
+    For alpha = -1, ``np.reciprocal`` gives the bits of ``**`` in about half
+    the time.
     """
     if k.family == GAUSSIAN:
         np.multiply(d, -k.lam * d, out=d)
@@ -188,7 +190,10 @@ def _kernel_spatial_inplace(k: Kernel, d: np.ndarray) -> np.ndarray:
     else:
         np.multiply(d, d, out=d)
         d += k.c * k.c
-        d **= k.alpha
+        if k.alpha == -1.0:
+            np.reciprocal(d, out=d)
+        else:
+            d **= k.alpha
     return d
 
 

@@ -345,3 +345,70 @@ class TestOptionSets:
         assert run.returncode == 2
         assert "unrecognized arguments: --c 2" in run.stderr and "Traceback" not in run.stderr
         assert list(tmp_path.iterdir()) == []
+
+
+STUDY_READS = {
+    "c-conv": set(),
+    "h-conv": {"degree"},
+    "noise": {"seed", "delta"},
+    "jitter": {"seed", "jitter", "pattern"},
+    "conditioning": set(),
+}
+STUDY_VALUES = {"seed": "3", "degree": "5", "delta": "1", "jitter": "0.3", "pattern": "alternating"}
+
+
+class TestStudyOptions:
+    """A study takes only the study flags it reads, besides --study, --out and --tag."""
+
+    @pytest.mark.parametrize(
+        "study, key",
+        [(study, key) for study in STUDY_READS for key in STUDY_VALUES
+         if key not in STUDY_READS[study]],
+    )
+    def test_flag_the_study_does_not_read_is_usage_error(self, capsys, tmp_path, monkeypatch,
+                                                          study, key):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "study", study, f"--{key}", STUDY_VALUES[key])
+        assert code == 2 and f"does not read: --{key}" in err and "PASS" not in out
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"study": study, key: STUDY_VALUES[key]}))
+        code, _, err = run_cli(capsys, "study", "--config", str(cfg))
+        assert code == 2 and f"does not read: --{key}" in err
+        assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_all_unread_flags_are_named(self, capsys, tmp_path, monkeypatch):
+        # This call used to run the default c-conv and print PASS.
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(capsys, "study", "c-conv", "--seed", "3", "--degree", "5",
+                               "--delta", "1", "--jitter", "0.3")
+        assert code == 2
+        assert "study c-conv does not read: --degree, --delta, --jitter, --seed" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_flags_the_study_reads_run_it(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "study", "jitter", "--seed", "1", "--jitter", "0.1",
+                               "--pattern", "alternating", "--tag", "t", "--out", str(tmp_path))
+        assert code == 0 and "study jitter: PASS" in out
+        assert (tmp_path / "jitter-poisson-c1-t.csv").exists()
+
+    def test_degree_help_names_h_conv_only(self):
+        parser, _ = cli._build_parser()
+        (sub,) = (a for a in parser._actions if a.dest == "command")
+        (degree,) = (a for a in sub.choices["study"]._actions if a.dest == "degree")
+        assert "h-conv only" in degree.help
+
+
+class TestUnknownFlagUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [("tau", "--out", "t.txt"), ("table", "--seed", "1"), ("interp", "--seed", "1"),
+         ("study", "h-conv", "--c", "2")],
+    )
+    def test_usage_is_the_subcommand_s(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith(f"usage: mqcardinal {argv[0]} ")
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+

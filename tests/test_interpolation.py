@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
 import mqcardinal as mq
 from mqcardinal import interpolation
@@ -352,6 +353,62 @@ class TestEvalGramBlocks:
         assert abs(scalar - dense_eval_gram(g, float(nodes[0]) + 0.1)[0]) <= tol
 
 
+def plain_gram(nodes, k):
+    """The Gram matrix as one broadcast of the plain kernel expression."""
+    d = nodes[:, None] - nodes[None, :]
+    if k.family == "gaussian":
+        return np.exp(-k.lam * d * d)
+    return (d * d + k.c * k.c) ** k.alpha
+
+
+class TestGramCholesky:
+    """The Cholesky fit against an LU solve, and the matrix it factors."""
+
+    @given(
+        kernel=st.sampled_from(["poisson", "mq-1.5", "gaussian"]),
+        pattern=st.sampled_from(["uniform-random", "alternating"]),
+        J=st.integers(0, 199),
+        L=st.floats(0.0, 0.24),
+        c=st.floats(0.5, 1.5),
+        lam=st.floats(0.5, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_lu_reference(self, kernel, pattern, J, L, c, lam, seed):
+        k = {"poisson": mq.poisson(c), "mq-1.5": mq.multiquadric(-1.5, c),
+             "gaussian": mq.gaussian(lam)}[kernel]
+        nodes = mq.apply_jitter(mq.NodeSequence.integers(J), mq.JitterSpec(L, seed, pattern)).nodes
+        y = np.random.default_rng(seed).normal(size=nodes.size)
+        a = mq.fit_gram(mq.SampleSet(nodes, y), k).a
+        mat = plain_gram(nodes, k)
+        lu = linalg.lu_factor(mat)
+        want = linalg.lu_solve(lu, y)
+        want = want + linalg.lu_solve(lu, y - mat @ want)  # the same refinement step
+        bound = 8 * mq.gram_condition(nodes, k) * 2.0**-52 * np.max(np.abs(want))
+        assert np.max(np.abs(a - want)) <= bound
+
+    @pytest.mark.parametrize(
+        "k", [mq.poisson(1.0), mq.multiquadric(-2.5, 0.7), mq.gaussian(0.5)]
+    )
+    def test_blocked_matrix_is_the_broadcast(self, k):
+        # n = 1, 2, then a last block of rows - 1, rows and 1 row.
+        for n in (1, 2, 10 * 64 - 1, 10 * 64, 10 * 64 + 1):
+            if n > 2:
+                assert interpolation._block_rows(n) == 64
+            nodes = np.arange(n) - n / 2.0 + np.random.default_rng(n).uniform(-0.2, 0.2, n)
+            np.testing.assert_array_equal(interpolation._gram_matrix(nodes, k),
+                                          plain_gram(nodes, k))
+
+    def test_not_positive_definite_carries_lu_estimate(self):
+        # The 49-node gaussian grid fails the factorization; the estimate is
+        # still the LU power estimate, as gram_condition computes it.
+        nodes = np.arange(-24, 25) / 24
+        k = mq.gaussian(1.0)
+        with pytest.raises(IllConditionedError, match="positive definite") as exc:
+            mq.fit_gram(mq.SampleSet(nodes, np.sin(nodes)), k)
+        assert exc.value.cond_estimate == mq.gram_condition(nodes, k)
+
+
 class TestGramCondition:
     def test_single_node(self):
         assert mq.gram_condition(np.array([0.0]), mq.poisson(1.0)) == 1.0
@@ -386,3 +443,33 @@ class TestGramCondition:
         # A NaN node returned inf, and an infinite one raised a RuntimeWarning.
         with pytest.raises(DomainError, match="finite"):
             mq.gram_condition(np.array([0.0, bad, 1.0]), mq.poisson(1.0))
+
+    @pytest.mark.parametrize(
+        "k, nodes",
+        [(mq.poisson(1.0), np.arange(-16, 17) + np.linspace(-0.2, 0.2, 33) ** 3),
+         (mq.multiquadric(-2.5, 0.7), np.arange(-40, 41) / 8.0),
+         (mq.gaussian(1.0), np.arange(-6, 7) / 4.0)],
+    )
+    def test_power_iteration_matches_lu_solve(self, k, nodes):
+        # The iteration solves with dgetrs directly; lu_solve runs the same
+        # routine, so the estimate keeps its bits.
+        def lu_solve_estimate(mat, lu_and_piv, iters=50, rtol=1e-3):
+            def extreme(apply_op):
+                v = np.full(mat.shape[0], 1.0 / np.sqrt(mat.shape[0]))
+                est = 0.0
+                for _ in range(iters):
+                    w = apply_op(v)
+                    new = float(np.linalg.norm(w))
+                    if new == 0.0 or not np.isfinite(new):
+                        return new
+                    v = w / new
+                    if est > 0 and abs(new - est) <= rtol * est:
+                        return new
+                    est = new
+                return est
+
+            return extreme(lambda v: mat @ v) * extreme(lambda v: linalg.lu_solve(lu_and_piv, v))
+
+        mat = interpolation._gram_matrix(nodes, k)
+        lu = linalg.lu_factor(mat)
+        assert interpolation._power_condition(mat, lu) == lu_solve_estimate(mat, lu)
