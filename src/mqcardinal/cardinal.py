@@ -9,8 +9,10 @@ table build needs no tau.  It samples phihat at spacing 2 pi / Q up to the
 band where the transform falls below rounding, and one routine,
 :func:`_periodize`, sums those even samples over Q slots for the symbol
 S.  A pruned FFT inverts Lhat; its column step sums Lhat over the period
-2 pi M, as sampling L at spacing 1/M does.  L is then evaluated off-grid
-by local polynomial interpolation.
+2 pi M, as sampling L at spacing 1/M does.  Lhat is real and even, so L is
+real: the transform forms only the columns of its Hermitian rows up to
+Q/2 and inverts each row by a real FFT.  L is then evaluated off-grid by
+local polynomial interpolation.
 """
 
 from __future__ import annotations
@@ -436,9 +438,10 @@ def _periodize(flat: np.ndarray, period: int) -> np.ndarray:
 
 
 def _ifft_band(head: np.ndarray, m: int) -> np.ndarray:
-    """Rows 0 .. M//2 of ``M * ifft(x)``, x of length p = M Q the sum of f
-    over the shifts k p, with f the even sequence on the integers whose
-    slots 0, 1, ... are the flat (rows, Q) ``head`` and whose others are 0.
+    """Rows 0 .. M//2 of ``M * ifft(x)``, a real (M//2 + 1, Q) array, for x
+    of length p = M Q the sum of f over the shifts k p, with f the even
+    sequence on the integers whose slots 0, 1, ... are the flat (rows, Q)
+    ``head`` (Q a power of 2) and whose others are 0.
 
     Entry ``[t, j]`` is output ``j M + t``.  With input index ``Q r + s``,
     the transform splits into length-M transforms down the columns of x as
@@ -452,28 +455,45 @@ def _ifft_band(head: np.ndarray, m: int) -> np.ndarray:
     -r of f is ``g[r]``, whose exponent -r t / M pairs it with head's row
     r, so the step is ``cos(2 pi r t / M) @ (head + g) + i sin(2 pi r t /
     M) @ (head - g)``.
+
+    x is real and even, so each twiddled row z is Hermitian, z[Q - s] =
+    conj z[s], and its transform is real: only columns s <= Q/2 are formed,
+    and each row is inverted by one length-Q ``irfft``, which reads only the
+    real parts of columns 0 and Q/2.  Those are real in exact arithmetic;
+    an imaginary part there over 1e-10, or a transform value that is not
+    finite, raises NumericalConsistencyError.
     """
     rows, q = head.shape
-    p, h = m * q, m // 2
-    ext = np.zeros((rows + 1, q))
-    ext[:rows] = head
+    p, h, half = m * q, m // 2, q // 2
+    # The twiddle factors as exp(2 pi i t s1 / p) * exp(2 pi i t K s2 / p)
+    # for s = s1 + K s2, so no (M//2 + 1, Q/2 + 1) array of it is formed.
+    # Columns 0 .. Q/2 are padded with zeros to Q/2 + K, so the split is a
+    # view of contiguous rows.
+    k = 1 << (q.bit_length() - 1) // 2
+    ext = np.zeros((rows + 1, half + k))
+    ext[:rows, : half + 1] = head[:, : half + 1]
     # Slot -i holds slot i: g[r] is head[r, 0] in column 0 and
     # head[r - 1, Q - s] in column s >= 1.
     g = np.zeros_like(ext)
     g[1:, 0] = ext[1:, 0]
-    g[1:, 1:] = head[:, :0:-1]
+    g[1:, 1 : half + 1] = head[:, : half - 1 : -1]
     angle = (TWO_PI / m) * np.outer(np.arange(h + 1), np.arange(rows + 1))
-    out = np.empty((h + 1, q), dtype=complex)
+    out = np.empty((h + 1, half + k), dtype=complex)
     np.matmul(np.cos(angle), ext + g, out=out.real)
     np.matmul(np.sin(angle), ext - g, out=out.imag)
-    # The twiddle factors as exp(2 pi i t s1 / p) * exp(2 pi i t K s2 / p)
-    # for s = s1 + K s2, so no (M//2 + 1, Q) array of it is formed.
-    k = 1 << (q.bit_length() - 1) // 2
     t = np.arange(h + 1)[:, None]
-    view = out.reshape(h + 1, q // k, k)
+    view = out.reshape(h + 1, half // k + 1, k)
     view *= np.exp((2j * math.pi / p) * (t * np.arange(k)))[:, None, :]
-    view *= np.exp((2j * math.pi / p) * (t * (k * np.arange(q // k))))[:, :, None]
-    return fft.ifft(out, axis=1, overwrite_x=True)
+    view *= np.exp((2j * math.pi / p) * (t * (k * np.arange(half // k + 1))))[:, :, None]
+    residue = float(np.abs(out[:, [0, half]].imag).max())
+    if not residue <= 1e-10:
+        raise NumericalConsistencyError(
+            f"imaginary residue {residue:.3g} exceeds 1e-10 in the inverse FFT"
+        )
+    vals = fft.irfft(out[:, : half + 1], q, axis=1, overwrite_x=True)
+    if not np.isfinite(vals).all():
+        raise NumericalConsistencyError("inverse FFT of the table spectrum is not finite")
+    return vals
 
 
 def _next_pow2(n: int) -> int:
@@ -556,21 +576,17 @@ def build_cardinal_table(
     np.exp(logs, out=logs)
 
     # Every family's transform depends on |xi| only, so the table's
-    # spectrum is even.  Sampling L at spacing 1/M sums it over the shifts
-    # 2 pi M k, which _ifft_band's column step does for every row it reads.
+    # spectrum is real and even and L is real: _ifft_band forms half of the
+    # transform and checks what it drops.  Sampling L at spacing 1/M sums
+    # the spectrum over the shifts 2 pi M k, which _ifft_band's column step
+    # does for every row it reads.
     vals = _ifft_band(logs.reshape(band, q), M)
-    imag = vals.imag
-    imag_max = max(float(imag.max()), -float(imag.min()))
-    if not imag_max <= 1e-10:
-        raise NumericalConsistencyError(
-            f"imaginary residue {imag_max:.3g} exceeds 1e-10 after inverse FFT"
-        )
-    return CardinalTable(k, N, M, _read_table(vals.real, N, M), epsilon, interp_order)
+    return CardinalTable(k, N, M, _read_table(vals, N, M), epsilon, interp_order)
 
 
 def _read_table(vals: np.ndarray, n: int, m: int) -> np.ndarray:
-    """L(i / M), i = -N M .. N M, symmetrized, from the (M//2 + 1, Q) output
-    of :func:`_ifft_band`.
+    """L(i / M), i = -N M .. N M, symmetrized, from the real (M//2 + 1, Q)
+    output of :func:`_ifft_band`.
 
     Output i = j M + t is entry [t, j] for t <= M/2, and entry
     [M - t, Q - 1 - j] for t > M/2.  Output p - i (p = M Q), which is

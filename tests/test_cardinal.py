@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -33,6 +33,7 @@ from mqcardinal.errors import (
     DomainError,
     KernelOverflowError,
     MqcError,
+    NumericalConsistencyError,
     NumericalError,
     OutOfRangeError,
     SingularityError,
@@ -707,19 +708,43 @@ def scatter(flat, p):
 class TestTableTransform:
     """The table build's spectrum layout and its pruned four-step inverse FFT."""
 
+    @staticmethod
+    def check_ifft(head, m):
+        q = head.shape[1]
+        p = m * q
+        want = (m * np.fft.ifft(scatter(head.ravel(), p))).reshape(q, m).T[: m // 2 + 1]
+        got = _ifft_band(head, m)
+        # Entry [t, j] holds output j M + t, for rows t <= M/2; L is real.
+        assert got.dtype == float and got.shape == (m // 2 + 1, q)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
     @pytest.mark.parametrize("m, q", [(4, 16), (5, 32), (6, 16), (7, 64), (24, 2048), (64, 4096)])
     def test_ifft_even_matches_numpy(self, m, q):
         # Every row count from 1 to M + 2.  Past M//2 rows the mirrors land
         # in filled rows, and slot p/2 takes both slot p/2 and slot -p/2;
         # past M rows the column step sums rows r and r - M onto one row.
-        p = m * q
-        rng = np.random.default_rng(p)
+        rng = np.random.default_rng(m * q)
         for rows in range(1, m + 3):
-            head = rng.standard_normal((rows, q))
-            want = (m * np.fft.ifft(scatter(head.ravel(), p))).reshape(q, m).T[: m // 2 + 1]
-            got = _ifft_band(head, m)
-            # Entry [t, j] holds output j M + t, for rows t <= M/2.
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+            self.check_ifft(rng.standard_normal((rows, q)), m)
+
+    @given(
+        m=st.integers(4, 70),
+        log_q=st.integers(2, 12),
+        rows=st.integers(1, 72),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=4, log_q=4, rows=6, seed=0)
+    @example(m=5, log_q=5, rows=7, seed=0)
+    @example(m=6, log_q=4, rows=8, seed=0)
+    @example(m=7, log_q=6, rows=9, seed=0)
+    @example(m=24, log_q=11, rows=26, seed=0)
+    @example(m=64, log_q=12, rows=66, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_ifft_even_property(self, m, log_q, rows, seed):
+        # Odd and even M, Q from 4 to 4096 and 1 to M + 2 rows; the
+        # examples are the cases above at M + 2 rows.
+        assume(rows <= m + 2)
+        self.check_ifft(np.random.default_rng(seed).standard_normal((rows, 1 << log_q)), m)
 
     @pytest.mark.parametrize("m", [5, 6])
     def test_even_spectrum_layout(self, m):
@@ -753,6 +778,21 @@ class TestTableTransform:
         got = _periodize(flat, period)
         assert got.shape == (half + 1,)
         np.testing.assert_allclose(got, scatter(flat, period)[: half + 1], rtol=0, atol=1e-13 * np.abs(flat).sum())
+
+    @pytest.mark.parametrize("residue", [0, 5, 1024])
+    def test_nan_spectrum_is_consistency_error(self, monkeypatch, residue):
+        # A NaN in one symbol residue (Q = 2048 here) reaches every value of
+        # the real inverse FFT, through columns 0 or Q/2 or any other.
+        periodize = cardinal._periodize
+
+        def nan_periodize(flat, period):
+            out = periodize(flat, period)
+            out[residue] = math.nan
+            return out
+
+        monkeypatch.setattr(cardinal, "_periodize", nan_periodize)
+        with pytest.raises(NumericalConsistencyError):
+            mq.build_cardinal_table(mq.poisson(1.0), 1e-12, 32, 16)
 
     def test_build_peak_memory(self):
         # A complex (M, Q) spectrum alone is 3 MiB here, so the build must
