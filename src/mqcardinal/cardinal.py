@@ -66,6 +66,31 @@ _LOG_TINY = math.log(np.finfo(float).tiny)
 _LOG_CUT = -60.0 * math.log(2.0)
 # Lagrange weight i's product of (s - j), j != i, at its own node s = i, by order.
 _AT_NODE = {2: np.array([-1.0, 1.0]), 4: np.array([-6.0, 2.0, -2.0, 6.0])}
+# The table build evaluates a multiquadric's log transform on its first
+# _EXACT_SLOTS slots and on every _FILL_STEP-th slot past them, and fills
+# the slots between with a fixed _FILL_POINTS-point Lagrange rule, for Bessel
+# orders |nu| up to _FILL_MAX_ORDER; see _mq_log_slots.
+_EXACT_SLOTS = 480
+_FILL_STEP = 8
+_FILL_POINTS = 10
+_FILL_MAX_ORDER = 4.0
+
+
+def _fill_weights(step: int, points: int) -> np.ndarray:
+    """(points, step) Lagrange weights: column o takes the values at the
+    nodes -(points/2 - 1) .. points/2, ``step`` slots apart, to the slot o
+    past node 0.  Column 0 is exactly the unit vector of node 0."""
+    nodes = np.arange(points) - (points // 2 - 1)
+    s = np.arange(step) / step
+    w = np.ones((points, step))
+    for j in range(points):
+        for i in range(points):
+            if i != j:
+                w[j] *= (s - nodes[i]) / (nodes[j] - nodes[i])
+    return w
+
+
+_FILL_WEIGHTS = _fill_weights(_FILL_STEP, _FILL_POINTS)
 # Shifts compute_tau's tail rule sums at most (gaussian lambda up to about
 # 1e11, poisson c down to about 1e-5), and rows the table build's band
 # search reaches at most.
@@ -537,6 +562,49 @@ def _spectrum_band(k: Kernel, epsilon: float, m: int) -> int:
     return band
 
 
+def _mq_log_slots(k: Kernel, n: int, q: int) -> np.ndarray:
+    """log phihat of a multiquadric on the slots 2 pi i / Q, i < n.
+
+    The slots below _EXACT_SLOTS and every _FILL_STEP-th slot (anchor) past
+    them are evaluated.  Each run of slots from one anchor to the next is
+    the _FILL_POINTS-point Lagrange rule through the anchors around it, one
+    product of the anchor windows with the fixed _FILL_WEIGHTS.  K_nu(z)
+    has no zeros for Re z >= 0 (DLMF 10.42), so log phihat is analytic in
+    the disk of radius i slots about slot i, and the Cauchy estimate bounds
+    the rule's error by about max |log phihat| |w(s)| (step / i)^points,
+    with w(s) = prod_j (s - j), j = -4 .. 5, at most 872.  Each halving of
+    the exact slots multiplies that by 2^10: from 120 slots the fill was
+    1.5e4 ulp of max(1, |log phihat|) off the direct values, weighted by
+    exp(log phihat - its residue's row-0 value), from 240 16.6 and from 480
+    11.2 ulp, the rounding of the anchors.  Past |nu| = _FILL_MAX_ORDER
+    that rounding, which grows with the order, moved tables by more than
+    2 ulp (3.2e-16 at nu = 7.5, 7.7e-16 at nu = 32), so every slot is
+    evaluated.
+
+    A +inf value, a Bessel factor that overflows at a small c xi, raises
+    KernelOverflowError here, before the fill could spread it as NaN.
+    """
+    step, points = _FILL_STEP, _FILL_POINTS
+    lead = points // 2 - 1  # anchors before the run a rule fills
+    first = _EXACT_SLOTS // step  # first run filled
+    runs = -(-n // step) - first
+    filled = abs(k.bessel_order) <= _FILL_MAX_ORDER
+    idx = np.arange(n)
+    if filled:
+        idx = np.concatenate(
+            (idx[: first * step], step * np.arange(first, first + runs + points - lead - 1))
+        )
+    logs = log_kernel_fourier(k, idx * (TWO_PI / q))
+    if np.any(logs == math.inf):
+        raise _overflow_error(k, "the transform")
+    if not filled:
+        return logs
+    exact = logs[: first * step]
+    anchors = np.concatenate((exact[(first - lead) * step :: step], logs[first * step :]))
+    fill = np.lib.stride_tricks.sliding_window_view(anchors, points) @ _FILL_WEIGHTS
+    return np.concatenate((exact, fill.ravel()[: n - first * step]))
+
+
 def build_cardinal_table(
     k: Kernel, epsilon: float, N: int, M: int, interp_order: int = 4
 ) -> CardinalTable:
@@ -567,7 +635,10 @@ def build_cardinal_table(
     # Lhat = phihat / S is formed in log space, and log S never: for a wide
     # kernel phihat and S underflow, or log S is so large that a factor of 2
     # in S rounds away in it, while their ratio is order one.
-    logs = log_kernel_fourier(k, np.arange(band * q) * (TWO_PI / q))
+    if k.family == kmod.MULTIQUADRIC:
+        logs = _mq_log_slots(k, band * q, q)
+    else:
+        logs = log_kernel_fourier(k, np.arange(band * q) * (TWO_PI / q))
     rows = logs.reshape(band, q)
     fold = np.minimum(np.arange(q), q - np.arange(q))
     rows -= rows[0, fold]

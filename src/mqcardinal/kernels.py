@@ -228,6 +228,7 @@ def _finite_constant(k: Kernel, compute) -> float:
 
 
 _LOG_MAX = math.log(np.finfo(float).max)
+_TINY = np.finfo(float).tiny
 
 
 def log_kernel_fourier(k: Kernel, xi):
@@ -259,9 +260,17 @@ def log_kernel_fourier(k: Kernel, xi):
             raise SingularityError(
                 "multiquadric transform is singular at xi = 0 for alpha >= -1/2"
             )
-        log_pref = math.log(_finite_constant(
+        # The constant underflows for alpha below about -157.5, although
+        # Gamma(-alpha) overflows, which is typed, only below about -171.6;
+        # there its log is formed as a sum of logs.
+        const = _finite_constant(
             k, lambda: math.sqrt(2.0 * math.pi) * 2.0 ** (1.0 + k.alpha) / math.gamma(-k.alpha)
-        ))
+        )
+        if const >= _TINY:
+            log_pref = math.log(const)
+        else:
+            log_pref = (0.5 * math.log(2.0 * math.pi) + (1.0 + k.alpha) * math.log(2.0)
+                        - math.lgamma(-k.alpha))
         # xi = 0 gives nan here, replaced below; a K that overflows at tiny
         # c|xi| gives +inf, which _exp_transform types.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

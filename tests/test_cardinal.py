@@ -296,21 +296,29 @@ class TestSymbolFold:
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     def test_rows_past_half_are_evaluated(self, monkeypatch):
-        # A spectrum that reaches past pi M: the build evaluates the
-        # transform once on every slot below the band, rows past M//2 too.
+        # A spectrum that reaches past pi M: the build takes log phihat on
+        # every slot below the band, rows past M//2 too, from one call of
+        # the multiquadric's slot helper, whose anchors reach the last row.
         k, eps, m = mq.multiquadric(-2.5, 0.22), 5e-11, 48
         band = cardinal._spectrum_band(k, eps, m)
         assert band > m // 2 + 1
-        seen = []
+        calls, seen = [], []
+        slots, transform = cardinal._mq_log_slots, cardinal.log_kernel_fourier
+
+        def spy_slots(kern, n, q):
+            calls.append((n, q))
+            return slots(kern, n, q)
 
         def spy(kern, xi):
-            seen.append(np.array(xi, dtype=float))
-            return mq.log_kernel_fourier(kern, xi)
+            seen.append(np.max(xi))
+            return transform(kern, xi)
 
+        monkeypatch.setattr(cardinal, "_mq_log_slots", spy_slots)
         monkeypatch.setattr(cardinal, "log_kernel_fourier", spy)
         mq.build_cardinal_table(k, eps, 32, m)
         q = 2048
-        assert sum(np.array_equal(xi, self.slots(q, band)) for xi in seen) == 1
+        assert calls == [(band * q, q)]
+        assert max(seen) >= self.slots(q, band)[-1]
 
     @pytest.mark.parametrize("lam", [2.0, 0.05, 1.0 / 256.0])
     @pytest.mark.parametrize("m", [5, 16])
@@ -328,6 +336,88 @@ class TestSymbolFold:
         want = special.logsumexp(expo, axis=1)
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-13)
+
+
+class TestSlotFill:
+    """The build's multiquadric log transform: exact slots, anchors and a
+    fixed Lagrange fill between them."""
+
+    @staticmethod
+    def weighted_ulps(k, q, rows):
+        """|fill - log phihat| on every slot below ``rows`` rows, weighted
+        by exp(log phihat - its residue's row-0 value), as the build weighs
+        each symbol term, in ulps of max(1, |log phihat|)."""
+        got = cardinal._mq_log_slots(k, rows * q, q)
+        want = mq.log_kernel_fourier(k, TestSymbolFold.slots(q, rows))
+        fold = np.minimum(np.arange(q), q - np.arange(q))
+        weight = np.exp(want.reshape(rows, q) - want[fold]).ravel()
+        return np.abs(got - want) * weight / (np.finfo(float).eps * np.maximum(1.0, np.abs(want)))
+
+    @given(
+        nu=st.one_of(
+            st.integers(1, 4).map(float),
+            st.integers(0, 3).map(lambda j: j + 0.5),
+            st.floats(0.01, cardinal._FILL_MAX_ORDER),
+        ),
+        log_c=st.floats(math.log10(0.05), 3.0),
+        q=st.sampled_from([2048, 4096, 8192]),
+        rows=st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(nu=0.25, log_c=math.log10(2.0), q=2048, rows=4)  # table-build mq-0.75
+    @example(nu=1.0, log_c=math.log10(2.0), q=2048, rows=4)  # mq-1.5
+    @example(nu=2.0, log_c=math.log10(2.0), q=2048, rows=4)  # mq-2.5
+    def test_fill_matches_transform(self, nu, log_c, q, rows):
+        # Integer and half-integer orders, where the transform's Bessel
+        # factor is a recurrence good to ~7e-16, measured at most 13 ulps in
+        # 800 random draws: the rounding of the anchors and of the fill.
+        # Fractional orders are compared with scipy's kve, whose own error
+        # dominates: 2.1e-13 against mpmath at nu = 0.88, c = 1.67, where
+        # the fill is off by 4.7e-14; the largest gap was 493 ulps in 1500
+        # random draws and 676 in a search.  The Lagrange remainder past 480
+        # exact slots is about 0.015 ulp: 1.5e4 past 120, divided by 2^10
+        # per doubling (see _mq_log_slots).  A 4-point fill, or only the 32
+        # exact slots the first rule reads, fails this test.
+        k = mq.multiquadric(-nu - 0.5, 10.0**log_c)
+        ulps = 32 if float(2 * nu).is_integer() else 2048
+        assert np.max(self.weighted_ulps(k, q, rows)) <= ulps
+
+    def test_past_max_order_every_slot_is_evaluated(self):
+        k = mq.multiquadric(-cardinal._FILL_MAX_ORDER - 0.75, 3.0)
+        q = 2048
+        got = cardinal._mq_log_slots(k, 2 * q, q)
+        assert got.tobytes() == mq.log_kernel_fourier(k, TestSymbolFold.slots(q, 2)).tobytes()
+
+    def test_against_mpmath_past_the_sweep(self):
+        # nu = -3.9 is past the random table sweep's alpha >= -4 but under
+        # _FILL_MAX_ORDER; the filled slots are as near the exact values as
+        # the transform's own.
+        mpmath = pytest.importorskip("mpmath")
+        k, q = mq.multiquadric(-4.4, 0.5), 2048
+        idx = np.arange(481, 2 * q, 61)
+        idx = idx[idx % cardinal._FILL_STEP != 0]
+        got = cardinal._mq_log_slots(k, 2 * q, q)[idx]
+        direct = mq.log_kernel_fourier(k, TestSymbolFold.slots(q, 2)[idx])
+        with mpmath.workdps(30):
+            a, c, nu = mpmath.mpf(k.alpha), mpmath.mpf(k.c), mpmath.mpf(k.alpha) + 0.5
+            want = np.array([
+                float(mpmath.log(
+                    mpmath.sqrt(2 * mpmath.pi) * 2 ** (1 + a) / mpmath.gamma(-a)
+                    * (c / x) ** nu * mpmath.besselk(nu, c * x)
+                ))
+                for x in (mpmath.mpf(float(xi)) for xi in TestSymbolFold.slots(q, 2)[idx])
+            ])
+        scale = np.finfo(float).eps * np.maximum(1.0, np.abs(want))
+        assert np.max(np.abs(got - want) / scale) <= 2.0 * np.max(np.abs(direct - want) / scale) + 8.0
+
+    def test_overflowing_bessel_factor_is_typed(self):
+        # phihat(pi) is finite, but K_99.5(c |xi|) overflows on the small
+        # slots: the build subtracted inf from inf (a RuntimeWarning) and
+        # then raised NumericalConsistencyError.
+        k = mq.multiquadric(-100.0, 2.0)
+        assert math.isfinite(mq.log_kernel_fourier(k, math.pi))
+        with pytest.raises(KernelOverflowError, match="larger c or an alpha nearer 0"):
+            mq.build_cardinal_table(k, 1e-11, 32, 64)
 
 
 def symbol_terms_loop(k, tau, xi_star):
@@ -888,13 +978,9 @@ class TestSpectrumBand:
         xi = TWO_PI * (np.arange(band, m // 2 + 1)[:, None] + np.arange(q) / q)
         assert np.max(mq.cardinal_hat(plan, xi)) <= 2.0**-60 / m
 
-    @pytest.mark.parametrize(
-        "k, n, m, most",
-        [(mq.poisson(3.0), 64, 48, 6176), (mq.gaussian(0.5), 64, 48, 4142),
-         (mq.multiquadric(-0.75, 2.0), 64, 24, 10264), (mq.multiquadric(-2.5, 2.0), 64, 24, 12624)],
-    )
-    def test_transform_evaluation_count(self, monkeypatch, k, n, m, most):
-        # Evaluating every row took 49160, 49174, 24588 and 50541 values.
+    @staticmethod
+    def count_transform_values(monkeypatch, k, n, m):
+        """How many values of log phihat the table build evaluates."""
         count = [0]
 
         def counting(kern, xi):
@@ -903,7 +989,23 @@ class TestSpectrumBand:
 
         monkeypatch.setattr(cardinal, "log_kernel_fourier", counting)
         mq.build_cardinal_table(k, 1e-12, n, m)
-        assert 0 < count[0] <= 1.05 * most
+        return count[0]
+
+    @pytest.mark.parametrize(
+        "k, n, m, most",
+        [(mq.poisson(3.0), 64, 48, 6176), (mq.gaussian(0.5), 64, 48, 4142),
+         (mq.multiquadric(-0.75, 2.0), 64, 24, 10264), (mq.multiquadric(-2.5, 2.0), 64, 24, 12624)],
+    )
+    def test_transform_evaluation_count(self, monkeypatch, k, n, m, most):
+        # Evaluating every row took 49160, 49174, 24588 and 50541 values.
+        # The multiquadric bounds are those of every slot below the band.
+        assert 0 < self.count_transform_values(monkeypatch, k, n, m) <= 1.05 * most
+
+    @pytest.mark.parametrize("k", [mq.multiquadric(-0.75, 2.0), mq.multiquadric(-2.5, 2.0)])
+    def test_filled_transform_evaluation_count(self, monkeypatch, k):
+        # The slot helper's anchors and exact prefix: 1739 values, against
+        # 10264 and 12624 on every slot below the band.
+        assert 0 < self.count_transform_values(monkeypatch, k, 64, 24) <= 1.05 * 1739
 
     @staticmethod
     def fancy_read(vals, n, m):

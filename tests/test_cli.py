@@ -97,6 +97,23 @@ class TestTable:
         assert code == 1
         assert "numerical failure" in err
 
+    @pytest.mark.parametrize(
+        "kernel, hint",
+        [
+            # K_99.5(2 |xi|) overflows on the small slots: the build warned
+            # (invalid value in subtract) and found its spectrum not finite.
+            (("--alpha", "-100", "--c", "2", "--eps", "1e-11", "--N", "32", "--M", "64"),
+             "larger c"),
+            # The transform's constant underflowed: a bare math domain error.
+            (("--alpha", "-160"), "increase M"),
+            (("--alpha", "-160", "--M", "64"), "larger c"),
+        ],
+    )
+    def test_extreme_order_is_numerical_failure(self, capsys, kernel, hint):
+        code, _, err = run_cli(capsys, "table", "--family", "multiquadric", *kernel)
+        assert code == 1
+        assert "numerical failure" in err and hint in err
+
     def test_oversampling_past_band_reach_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "table", "--family", "poisson", "--c", "1",

@@ -200,6 +200,22 @@ class TestFourierTransforms:
             with pytest.raises(KernelOverflowError):
                 mq.kernel_fourier(k, 1.0)
 
+    @pytest.mark.parametrize("alpha", [-157.6, -160.0, -171.5])
+    def test_underflowing_constant_has_a_log(self, alpha):
+        # sqrt(2 pi) 2^(1 + alpha) / Gamma(-alpha) underflows to 0 here,
+        # and its math.log was a bare ValueError.  The terms of the log
+        # cancel from about 650 to 2, so the error is absolute.
+        mpmath = pytest.importorskip("mpmath")
+        k = mq.multiquadric(alpha, 1.0)
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+            want = mpmath.log(
+                mpmath.sqrt(2 * mpmath.pi) * 2 ** (1 + a) / mpmath.gamma(-a)
+                * (1 / mpmath.pi) ** (a + 0.5) * mpmath.besselk(a + 0.5, mpmath.pi)
+            )
+        assert mq.log_kernel_fourier(k, math.pi) == pytest.approx(float(want), abs=1e-12)
+        assert math.isfinite(mq.log_kernel_fourier(k, 0.0))
+
     @pytest.mark.parametrize("c", [1e-120, 1e-200])
     def test_overflowing_transform_is_typed(self, c):
         # At alpha = -3 the transform grows like c^-5: its log at c = 1e-120
