@@ -95,6 +95,11 @@ _FILL_WEIGHTS = _fill_weights(_FILL_STEP, _FILL_POINTS)
 # 1e11, poisson c down to about 1e-5), and rows the table build's band
 # search reaches at most.
 _MAX_SHIFTS = 1 << 20
+# Widest c a multiquadric-family table or tau is made for.  Up to it c |xi|
+# stays finite for xi up to 4 pi.  That covers the first period the build
+# reads, the anchors of its fill just past it (whose Lagrange sums reach
+# 1.57 times their largest value), and compute_tau's c pi + 2 pi c.
+_MAX_WIDTH = np.finfo(float).max / (4.0 * math.pi)
 # Shift-grid values _symbol_terms forms at a time.
 _SYMBOL_BLOCK = 1 << 16
 _TOO_SLOW = "kernel transform decays too slowly to tabulate"
@@ -176,6 +181,14 @@ def _check_epsilon(epsilon: float) -> None:
         raise DomainError("epsilon must lie in (0, 1)")
 
 
+def _check_width(k: Kernel) -> None:
+    if k.family != GAUSSIAN and not k.c <= _MAX_WIDTH:
+        raise UnsupportedKernelError(
+            f"{k.family} alpha={k.alpha:g}, c={k.c:g} is too wide: c |xi| overflows on "
+            f"the first periods; use a smaller c (at most {_MAX_WIDTH:.3g})"
+        )
+
+
 def _tail_tau(k: Kernel, epsilon: float) -> int:
     """The tail rule's tau (see :func:`compute_tau`), or _MAX_SHIFTS + 1 if
     none up to the cap is certified.
@@ -231,10 +244,11 @@ def compute_tau(k: Kernel, epsilon: float) -> TruncationPlan:
     gaussian), tau is the larger of it and the certificate, which keeps the
     published term counts, and ``gamma`` and ``d_lower`` are its constants.
     For alpha < -1 tau is the certificate, ``gamma`` the tail prefactor and
-    ``d_lower = phihat(pi)``.  A tau over _MAX_SHIFTS raises
-    UnsupportedKernelError naming the way out.
+    ``d_lower = phihat(pi)``.  A tau over _MAX_SHIFTS, or a c over
+    _MAX_WIDTH, raises UnsupportedKernelError naming the way out.
     """
     _check_epsilon(epsilon)
+    _check_width(k)
 
     if k.family == GAUSSIAN:
         gamma = math.sqrt(math.pi / k.lam)
@@ -538,6 +552,7 @@ def _spectrum_band(k: Kernel, epsilon: float, m: int) -> int:
     suggests the first M = 2^j, pi 2^j <= 1e9, whose edge is.
     """
     _check_epsilon(epsilon)
+    _check_width(k)
     cut = _LOG_CUT - math.log(m)
     probe = (m // 2) << np.arange((_MAX_SHIFTS // (m // 2)).bit_length())
     # xi = 0 goes first, so a transform singular there raises SingularityError.

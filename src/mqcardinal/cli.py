@@ -40,6 +40,7 @@ from .interpolation import (
 )
 from .kernels import GAUSSIAN, MULTIQUADRIC, POISSON, Kernel, gaussian, multiquadric, poisson
 from .sampling import NoiseSpec
+from .testfunctions import bspline
 
 _STUDIES = ("c-conv", "h-conv", "noise", "jitter", "conditioning")
 # The study options each study reads besides study, out and tag.
@@ -261,8 +262,6 @@ def _cmd_study(cfg: dict, name: str | None) -> int:
     if study == "c-conv":
         summary = run_c_convergence(out_dir=out_dir, tag=tag)
     elif study == "h-conv":
-        from .testfunctions import bspline
-
         summary = run_h_convergence(
             f=bspline(int(cfg.get("degree", 3))), out_dir=out_dir, tag=tag
         )

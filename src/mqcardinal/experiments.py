@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .cardinal import build_cardinal_table
 from .errors import (
@@ -77,6 +76,23 @@ class RateFit:
     points: tuple
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson sum of y over the nodes x, for an odd node count.
+
+    The same operations, in the same order, as ``scipy.integrate.simpson``
+    on an odd-length 1-D grid: each panel [x_2i, x_2i+2] weighs its three
+    values for the two spacings h0, h1 of that panel.
+    """
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    terms = hsum / 6.0 * (y[:-2:2] * (2.0 - 1.0 / ratio)
+                          + y[1::2] * (hsum * (hsum / (h0 * h1)))
+                          + y[2::2] * (2.0 - ratio))
+    return float(np.sum(terms))
+
+
 def error_norms(
     f: TestFunction, g: Callable, T: float = 4.0, step: float = 1.0 / 256.0
 ) -> ErrorReport:
@@ -95,8 +111,8 @@ def error_norms(
         bad = fine[~np.isfinite(diff)][0]
         raise NumericalConsistencyError(f"non-finite approximation value near x = {bad:g}")
     sq = diff * diff
-    l2_fine = math.sqrt(max(0.0, simpson(sq, x=fine)))
-    l2_coarse = math.sqrt(max(0.0, simpson(sq[::2], x=fine[::2])))
+    l2_fine = math.sqrt(max(0.0, _simpson(sq, fine)))
+    l2_coarse = math.sqrt(max(0.0, _simpson(sq[::2], fine[::2])))
     check = abs(l2_fine - l2_coarse) / l2_fine if l2_fine > 0 else 0.0
     return ErrorReport(l2_fine, float(diff.max()), T, step, check)
 
@@ -209,22 +225,33 @@ def interpolate_at_spacing(
     tail terms are silently truncated inside the evaluation window.
     Returns the interpolant evaluator and the tuned table used.
     """
-    k_n = tuned_kernel(base, N)
+    table = _spacing_table(base, N, epsilon, M, cover)
+    return _fit_at_spacing(f, N, table, noise), table
+
+
+def _spacing_table(base, N, epsilon, M, cover):
+    """Table of the kernel tuned to spacing 1/N, wide enough for |x| <= cover."""
     half_width = max(4, 2 * N, math.ceil(N * (cover + 1.0)))
-    table = build_cardinal_table(k_n, epsilon, half_width, M)
+    return build_cardinal_table(tuned_kernel(base, N), epsilon, half_width, M)
+
+
+def _fit_at_spacing(f, N, table, noise):
+    """Evaluator of the interpolant of f at {j/N : |j| <= N} on a tuned table."""
     nodes = np.arange(-N, N + 1) / N
     vals = f(nodes)
     if noise is not None:
         vals = apply_noise(vals, noise)
-    u = fit_uniform(SampleSet(nodes, vals), k_n, table)
-    return (lambda x: eval_uniform(u, x)), table
+    u = fit_uniform(SampleSet(nodes, vals), table.kernel, table)
+    return lambda x: eval_uniform(u, x)
 
 
-def _spacing_errors(f, N_grid, base, epsilon, M, T, noise):
-    """(N, error report) of the cardinal interpolant at each spacing 1/N."""
+def _spacing_errors(f, N_grid, base, epsilon, M, T, noises):
+    """(N, error report for each of ``noises``) of the cardinal interpolant
+    at each spacing 1/N.  The noises share one table per spacing."""
     for n in N_grid:
-        g, _ = interpolate_at_spacing(f, n, base, epsilon, M, noise, cover=T)
-        yield n, error_norms(f, g, T=T, step=1.0 / (8 * n))
+        table = _spacing_table(base, n, epsilon, M, T)
+        yield n, [error_norms(f, _fit_at_spacing(f, n, table, noise), T=T, step=1.0 / (8 * n))
+                  for noise in noises]
 
 
 def run_h_convergence(
@@ -242,7 +269,7 @@ def run_h_convergence(
     f = f if f is not None else bspline(3)
     base = base if base is not None else poisson(1.0)
     rows = [(n, 1.0 / n, rep.l2_window, rep.sup_window, rep.self_check)
-            for n, rep in _spacing_errors(f, N_grid, base, epsilon, M, T, noise)]
+            for n, (rep,) in _spacing_errors(f, N_grid, base, epsilon, M, T, (noise,))]
     errs = [r[2] for r in rows]
     fit = _rate_fit([math.log(1.0 / n) for n in N_grid], errs, _RATE_FLOOR)
     config = {
@@ -333,12 +360,14 @@ def run_noise_floor(
     base = base if base is not None else poisson(1.0)
     # The frame bounds depend on the node section only, not on delta.
     frame_a = {n: estimate_frame_bounds(NodeSequence.integers(min(n, 64))).A for n in N_grid}
+    noises = [NoiseSpec(delta, seed, distribution) if delta > 0 else None for delta in delta_grid]
+    reports = list(_spacing_errors(f, N_grid, base, epsilon, M, T, noises))
     rows = []
     plateau = {}
-    for delta in delta_grid:
-        noise = NoiseSpec(delta, seed, distribution) if delta > 0 else None
+    for i, delta in enumerate(delta_grid):
         sups = []
-        for n, rep in _spacing_errors(f, N_grid, base, epsilon, M, T, noise):
+        for n, reps in reports:
+            rep = reps[i]
             rows.append((delta, n, rep.l2_window, rep.sup_window, frame_a[n],
                          delta / math.sqrt(frame_a[n])))
             sups.append(rep.sup_window)

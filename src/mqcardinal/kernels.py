@@ -125,7 +125,9 @@ def _ke_asymptotic(nu: float, r: np.ndarray) -> np.ndarray:
     """sqrt(pi / (2 r)) sum_k prod_{j <= k} (4 nu^2 - (2 j - 1)^2) / (8 j r), k <= 4."""
     steps = [(4.0 * nu * nu - (2 * j - 1) ** 2) / (8.0 * j * r) for j in range(1, 5)]
     terms = np.cumprod(steps, axis=0)
-    return np.sqrt(np.pi / (2.0 * r)) * (1.0 + terms.sum(axis=0))
+    # pi / 2 / r is pi / (2 r) bit for bit, and stays nonzero up to the
+    # largest double r, where 2 r overflows.
+    return np.sqrt(np.pi / 2.0 / r) * (1.0 + terms.sum(axis=0))
 
 
 def _bessel_ke(nu: float, r: np.ndarray) -> np.ndarray:
@@ -153,7 +155,7 @@ def _bessel_ke(nu: float, r: np.ndarray) -> np.ndarray:
             out = np.where(far, _ke_asymptotic(nu, np.maximum(r, _KVE_LARGE)), out)
         return out
     if half:
-        k_half = np.sqrt(np.pi / (2.0 * r))  # K_{-1/2} = K_{1/2}
+        k_half = np.sqrt(np.pi / 2.0 / r)  # K_{-1/2} = K_{1/2}; see _ke_asymptotic
         return _k_upward(0.5, k_half, k_half, r, int(round(nu - 0.5)))
     if n == 0:
         return special.k0e(r)
@@ -248,7 +250,10 @@ def log_kernel_fourier(k: Kernel, xi):
         with np.errstate(over="ignore"):
             out = 0.5 * (math.log(math.pi) - math.log(k.lam)) - absxi * absxi / (4.0 * k.lam)
     elif k.family == POISSON:
-        out = math.log(math.pi / k.c) - k.c * absxi
+        # c |xi| overflows for a very wide kernel; -inf is then the exact
+        # log of the transform value, which underflows.
+        with np.errstate(over="ignore"):
+            out = math.log(math.pi / k.c) - k.c * absxi
     else:
         if k.alpha >= 0:
             raise UnsupportedKernelError(
@@ -256,7 +261,8 @@ def log_kernel_fourier(k: Kernel, xi):
             )
         nu = k.bessel_order
         at_zero = absxi == 0.0
-        if nu >= 0.0 and np.any(at_zero):
+        zeros = np.count_nonzero(at_zero)
+        if nu >= 0.0 and zeros:
             raise SingularityError(
                 "multiquadric transform is singular at xi = 0 for alpha >= -1/2"
             )
@@ -272,11 +278,19 @@ def log_kernel_fourier(k: Kernel, xi):
             log_pref = (0.5 * math.log(2.0 * math.pi) + (1.0 + k.alpha) * math.log(2.0)
                         - math.lgamma(-k.alpha))
         # xi = 0 gives nan here, replaced below; a K that overflows at tiny
-        # c|xi| gives +inf, which _exp_transform types.
+        # c|xi| gives +inf, which _exp_transform types, and a c|xi| that
+        # overflows -inf, the log of an underflowed value.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             r = k.c * absxi
-            out = log_pref + nu * np.log(k.c / absxi) + np.log(_bessel_ke(nu, r)) - r
-        if np.any(at_zero):
+            ratio = k.c / absxi
+            log_ratio = np.log(ratio)
+            # For a very wide kernel c / |xi| overflows at a small xi, as at
+            # xi = 0; its log is then a difference.
+            wide = np.isinf(ratio)
+            if np.count_nonzero(wide) > zeros:
+                log_ratio = np.where(wide, math.log(k.c) - np.log(absxi), log_ratio)
+            out = log_pref + nu * log_ratio + np.log(_bessel_ke(nu, r)) - r
+        if zeros:
             # K_|nu|(r) ~ Gamma(|nu|) 2^(|nu| - 1) r^(-|nu|) as r -> 0.
             limit = (log_pref + math.lgamma(-nu) + (-nu - 1.0) * math.log(2.0)
                      + 2.0 * nu * math.log(k.c))

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import BSpline as _ScipyBSpline
 
 from .errors import DomainError
 
@@ -70,22 +70,52 @@ def dilated_sinc(sigma: float) -> TestFunction:
     )
 
 
+@lru_cache(maxsize=None)
+def _bspline_pieces(p: int) -> np.ndarray:
+    """Piece polynomials of the degree-p cardinal B-spline on [0, p+1].
+
+    Entry [j, k] is the coefficient of u^(p-j) of the piece on [k, k+1] in
+    u = t - k, so column k is in Horner order.  The truncated-power form
+    B(t) = sum_{i<=k} (-1)^i binom(p+1, i) (t - i)^p / p! on that piece is
+    expanded exactly, over the common denominator p!, and each coefficient
+    rounded once (int / int is correctly rounded).
+    """
+    fact = math.factorial(p)
+    cols = np.empty((p + 1, p + 1))
+    for k in range(p + 1):
+        for j in range(p + 1):
+            num = sum((-1) ** i * math.comb(p + 1, i) * (k - i) ** (p - j) for i in range(k + 1))
+            cols[p - j, k] = math.comb(p, j) * num / fact
+    cols.flags.writeable = False
+    return cols
+
+
 def bspline(p: int) -> TestFunction:
     """Degree-p B-spline recentered and scaled to support [-1, 1].
 
     The underlying cardinal B-spline lives on [0, p+1]; with the affine map
     t -> s (t + 1), s = (p+1)/2, the p-th derivative is piecewise constant
     with values +-binom(p, i) scaled by s^p, so the W_2^p seminorm is
-    s^(p - 1/2) * sqrt(sum_i binom(p, i)^2) exactly.
+    s^(p - 1/2) * sqrt(sum_i binom(p, i)^2) exactly.  Values are Horner
+    sums of the piece polynomials; off (-1, 1), and at nan or +-inf, they
+    are 0.
     """
     if p < 1:
         raise DomainError("B-spline degree must be >= 1")
-    base = _ScipyBSpline.basis_element(np.arange(p + 2, dtype=float), extrapolate=False)
+    cols = _bspline_pieces(p)
     s = (p + 1) / 2.0
 
     def f(x):
-        out = base(s * (x + 1.0))
-        return np.nan_to_num(out, nan=0.0)
+        out = np.zeros_like(x)
+        inside = np.abs(x) < 1.0
+        t = s * (x[inside] + 1.0)
+        k = np.minimum(t.astype(np.intp), p)
+        u = t - k
+        acc = cols[0][k]
+        for c in cols[1:]:
+            acc = acc * u + c[k]
+        out[inside] = acc
+        return out
 
     semi = s ** (p - 0.5) * math.sqrt(sum(math.comb(p, i) ** 2 for i in range(p + 1)))
     return TestFunction(f"bspline(p={p})", f, order=float(p), seminorm=semi)

@@ -731,13 +731,20 @@ class TestWidthRange:
 
     @given(
         family=st.sampled_from(["gaussian", "poisson", -0.75, -1.5, -2.5, -3.0]),
-        log_width=st.floats(math.log10(5e-324), 300.0),
+        log_width=st.floats(math.log10(5e-324), 308.25),
         log_eps=st.floats(-16.0, -2.0),
     )
     @settings(max_examples=150, deadline=None)
     # pi / lambda overflowed, and the gaussian's log transform was nan.
     @example(family="gaussian", log_width=-310.0, log_eps=-10.0)
     @example(family="gaussian", log_width=math.log10(5e-324), log_eps=-10.0)
+    # c |xi| overflowed with a warning; c / |xi| overflowed, so the build
+    # subtracted -inf from -inf; c pi overflowed in the Bessel factor's
+    # asymptote, so phihat(pi) read as the gaussian's too-wide case.
+    @example(family="poisson", log_width=math.log10(3e301), log_eps=-12.0)
+    @example(family=-0.75, log_width=306.0, log_eps=-12.0)
+    @example(family=-1.5, log_width=307.0, log_eps=-12.0)
+    @example(family=-0.75, log_width=math.log10(5e307), log_eps=-12.0)
     def test_result_or_typed_error(self, family, log_width, log_eps):
         # Warnings are errors (pyproject.toml), so an overflow warning fails.
         w, eps = 10.0**log_width, 10.0**log_eps
@@ -749,6 +756,35 @@ class TestWidthRange:
             mq.compute_tau(k, eps)
         with contextlib.suppress(MqcError):
             mq.build_cardinal_table(k, eps, 8, 16)
+
+
+class TestTooWide:
+    """Multiquadric-family kernels past c = 1e300: a table, or a typed error
+    that says to use a smaller c."""
+
+    @pytest.mark.parametrize("k", [mq.poisson(3e301), mq.multiquadric(-0.75, 1e306),
+                                   mq.multiquadric(-1.5, 1e307), mq.multiquadric(-2.5, 1e306),
+                                   mq.multiquadric(-0.75, cardinal._MAX_WIDTH),
+                                   mq.multiquadric(-2.0, cardinal._MAX_WIDTH),
+                                   mq.multiquadric(-5.0, cardinal._MAX_WIDTH)])
+    def test_table_near_the_sinc(self, k):
+        # The symbol is phihat itself on (-pi, pi), so Lhat is the indicator
+        # of it and L the sinc, up to the period's wrap.
+        mq.compute_tau(k, 1e-12)
+        t = mq.build_cardinal_table(k, 1e-12, 32, 16)
+        delta = np.zeros(65)
+        delta[32] = 1.0
+        assert np.max(np.abs(t.values[::16] - delta)) <= 1e-15
+        x = np.arange(-32 * 16, 32 * 16 + 1) / 16
+        assert np.max(np.abs(t.values - np.sinc(x))) < 1e-2
+
+    @pytest.mark.parametrize("k", [mq.multiquadric(-0.75, 5e307), mq.poisson(1.7e308),
+                                   mq.multiquadric(-1.5, np.nextafter(cardinal._MAX_WIDTH, np.inf))])
+    def test_past_the_widest_c(self, k):
+        for call in (lambda: mq.compute_tau(k, 1e-12),
+                     lambda: mq.build_cardinal_table(k, 1e-12, 32, 16)):
+            with pytest.raises(UnsupportedKernelError, match="use a smaller c"):
+                call()
 
 
 class TestDeltaResidual:

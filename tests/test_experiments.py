@@ -5,10 +5,29 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 import mqcardinal as mq
+from mqcardinal import experiments
 from mqcardinal.errors import DomainError, InsufficientDataError
 from mqcardinal.testfunctions import zero
+
+
+class TestSimpson:
+    """The private Simpson rule against scipy's, on the odd grids error_norms uses."""
+
+    @pytest.mark.parametrize("points", [3, 5, 33, 257, 1025, 4097])
+    def test_bit_identical_to_scipy(self, points):
+        x = np.linspace(-4.0, 4.0, points)
+        y = np.random.default_rng(points).standard_normal(points) ** 2
+        for xs, ys in ((x, y), (x[::2], y[::2])):
+            if xs.size >= 3:
+                assert experiments._simpson(ys, xs) == simpson(ys, x=xs)
+
+    def test_uneven_panels_bit_identical(self):
+        x = np.cumsum(np.random.default_rng(7).uniform(0.5, 1.5, 65))
+        y = np.sin(x)
+        assert experiments._simpson(y, x) == simpson(y, x=x)
 
 
 class TestErrorNorms:
@@ -170,6 +189,20 @@ class TestNoiseFloor:
         # Noisy sup errors sit within an order of magnitude of delta.
         noisy = [r for r in out["rows"] if r[0] > 0]
         assert 0.1 * 1e-3 <= noisy[-1][3] <= 10.0 * 1e-3
+
+    def test_one_table_per_spacing(self, monkeypatch):
+        # The clean and the noisy rows of a spacing read the same table.
+        build, built = experiments.build_cardinal_table, []
+
+        def spy(*args, **kwargs):
+            built.append(args[:4])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "build_cardinal_table", spy)
+        out = mq.run_noise_floor(delta_grid=(0.0, 1e-3), N_grid=(4, 8, 16), M=16, T=2.0)
+        assert len(built) == 3
+        assert len(set(built)) == 3
+        assert [r[:2] for r in out["rows"]] == [(d, n) for d in (0.0, 1e-3) for n in (4, 8, 16)]
 
 
 class TestJitterStudy:

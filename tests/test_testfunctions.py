@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.interpolate import BSpline
 
 import mqcardinal as mq
 from mqcardinal.errors import DomainError
@@ -91,6 +92,29 @@ class TestBSpline:
     def test_degree_domain(self):
         with pytest.raises(DomainError):
             mq.bspline(0)
+
+    @pytest.mark.parametrize("p", range(1, 31))
+    def test_matches_scipy_basis_element(self, p):
+        # De Boor's recurrence as scipy evaluates it, on the same affine map.
+        s = (p + 1) / 2.0
+        ref = BSpline.basis_element(np.arange(p + 2, dtype=float), extrapolate=False)
+        knots = -1.0 + np.arange(p + 2) / s
+        xs = np.concatenate([np.linspace(-1.0, 1.0, 4097), knots, [-1.0, 1.0],
+                             np.nextafter([-1.0, 1.0], 0.0),
+                             np.random.default_rng(p).uniform(-1.0, 1.0, 2000)])
+        want = np.nan_to_num(ref(s * (xs + 1.0)), nan=0.0)
+        got = mq.bspline(p)(xs)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=4.4e-16)
+        outside = np.array([-1.5, -1.0 - 1e-15, 1.0 + 1e-15, 2.0, -1e300, 1e300])
+        np.testing.assert_array_equal(mq.bspline(p)(outside), 0.0)
+        assert abs(mq.bspline(p)(0.3) - float(ref(s * 1.3))) <= 4.4e-16
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_inputs_are_zero(self):
+        g = mq.bspline(3)
+        np.testing.assert_array_equal(g(np.array([np.nan, np.inf, -np.inf, 0.0]))[:3], 0.0)
+        assert g(np.nan) == 0.0
+        assert g(np.inf) == 0.0
 
 
 class TestBump:
