@@ -67,11 +67,14 @@ _LOG_CUT = -60.0 * math.log(2.0)
 # Lagrange weight i's product of (s - j), j != i, at its own node s = i, by order.
 _AT_NODE = {2: np.array([-1.0, 1.0]), 4: np.array([-6.0, 2.0, -2.0, 6.0])}
 # The table build evaluates a multiquadric's log transform on its first
-# _EXACT_SLOTS slots and on every _FILL_STEP-th slot past them, and fills
-# the slots between with a fixed _FILL_POINTS-point Lagrange rule, for Bessel
-# orders |nu| up to _FILL_MAX_ORDER; see _mq_log_slots.
+# _EXACT_SLOTS slots, on every _FILL_STEP-th slot past them and on every
+# _FAR_STEP-th slot past _FAR_SLOTS, and fills the slots between with a
+# fixed _FILL_POINTS-point Lagrange rule, for Bessel orders |nu| up to
+# _FILL_MAX_ORDER; see _mq_log_slots.
 _EXACT_SLOTS = 480
 _FILL_STEP = 8
+_FAR_SLOTS = 4 * _EXACT_SLOTS
+_FAR_STEP = 4 * _FILL_STEP
 _FILL_POINTS = 10
 _FILL_MAX_ORDER = 4.0
 
@@ -91,10 +94,16 @@ def _fill_weights(step: int, points: int) -> np.ndarray:
 
 
 _FILL_WEIGHTS = _fill_weights(_FILL_STEP, _FILL_POINTS)
+_FAR_WEIGHTS = _fill_weights(_FAR_STEP, _FILL_POINTS)
 # Shifts compute_tau's tail rule sums at most (gaussian lambda up to about
 # 1e11, poisson c down to about 1e-5), and rows the table build's band
 # search reaches at most.
 _MAX_SHIFTS = 1 << 20
+# Slots (band rows of Q) a table build evaluates at most, 128 MiB per
+# array of them.  A spectrum that needs more (poisson c below about 1e-3 at
+# Q = 2048, a gaussian lambda above about 1.3e7) raised a bare MemoryError,
+# or took gigabytes, for a kernel far narrower than the grid.
+_MAX_SLOTS = 1 << 24
 # Widest c a multiquadric-family table or tau is made for.  Up to it c |xi|
 # stays finite for xi up to 4 pi.  That covers the first period the build
 # reads, the anchors of its fill just past it (whose Lagrange sums reach
@@ -455,6 +464,13 @@ def series_samples(t: CardinalTable, coeffs: np.ndarray) -> np.ndarray:
     return conv
 
 
+def _strided(a: np.ndarray, shape: tuple, steps: tuple) -> np.ndarray:
+    """A read view of the contiguous array ``a`` with ``shape``, whose axes
+    step ``steps`` elements; as ``as_strided``, with no checks and a tenth
+    of its call overhead."""
+    return np.ndarray(shape, a.dtype, a, 0, tuple(a.itemsize * s for s in steps))
+
+
 def _periodize(flat: np.ndarray, period: int) -> np.ndarray:
     """Slots 0 .. period/2 of ``sum_k f(i + k period)``, for an even
     ``period``, with f the even sequence whose slots 0, 1, ... are ``flat``
@@ -469,8 +485,7 @@ def _periodize(flat: np.ndarray, period: int) -> np.ndarray:
     rows = -(-flat.size // period)
     padded = np.zeros(rows * period + 1)
     padded[: flat.size] = flat
-    step = padded.strides[0]
-    blocks = np.lib.stride_tricks.as_strided(padded, (rows, period + 1), (period * step, step))
+    blocks = _strided(padded, (rows, period + 1), (period, 1))
     ends = blocks[::-1].sum(axis=0)
     half = period // 2
     return ends[: half + 1] + ends[: half - 1 : -1]
@@ -499,9 +514,13 @@ def _ifft_band(head: np.ndarray, m: int) -> np.ndarray:
     conj z[s], and its transform is real: only columns s <= Q/2 are formed,
     and each row is inverted by one length-Q ``irfft``, which reads only the
     real parts of columns 0 and Q/2.  Those are real in exact arithmetic;
-    an imaginary part there over 1e-10, or a transform value that is not
-    finite, raises NumericalConsistencyError.
+    an imaginary part there over 1e-10 raises NumericalConsistencyError, as
+    does a ``head`` value that is not finite.  Every value of a finite
+    ``head`` enters each output with a weight of modulus at most 1, so the
+    output is finite too: the build's Lhat lies in [0, 1].
     """
+    if not np.isfinite(head).all():
+        raise NumericalConsistencyError("table spectrum for the inverse FFT is not finite")
     rows, q = head.shape
     p, h, half = m * q, m // 2, q // 2
     # The twiddle factors as exp(2 pi i t s1 / p) * exp(2 pi i t K s2 / p)
@@ -509,30 +528,32 @@ def _ifft_band(head: np.ndarray, m: int) -> np.ndarray:
     # Columns 0 .. Q/2 are padded with zeros to Q/2 + K, so the split is a
     # view of contiguous rows.
     k = 1 << (q.bit_length() - 1) // 2
-    ext = np.zeros((rows + 1, half + k))
-    ext[:rows, : half + 1] = head[:, : half + 1]
-    # Slot -i holds slot i: g[r] is head[r, 0] in column 0 and
+    # The column step's inputs head + g and head - g, rows 0 .. rows.  Slot
+    # -i holds slot i: g[0] is 0, and g[r] is head[r, 0] in column 0 and
     # head[r - 1, Q - s] in column s >= 1.
-    g = np.zeros_like(ext)
-    g[1:, 0] = ext[1:, 0]
-    g[1:, 1 : half + 1] = head[:, : half - 1 : -1]
+    plus = np.zeros((rows + 1, half + k))
+    minus = np.zeros_like(plus)
+    mirror = head[:, : half - 1 : -1]
+    plus[0, : half + 1] = minus[0, : half + 1] = head[0, : half + 1]
+    np.multiply(head[1:, 0], 2.0, out=plus[1:rows, 0])
+    np.add(head[1:, 1 : half + 1], mirror[:-1], out=plus[1:rows, 1 : half + 1])
+    np.subtract(head[1:, 1 : half + 1], mirror[:-1], out=minus[1:rows, 1 : half + 1])
+    plus[rows, 1 : half + 1] += mirror[-1]
+    minus[rows, 1 : half + 1] -= mirror[-1]
     angle = (TWO_PI / m) * np.outer(np.arange(h + 1), np.arange(rows + 1))
     out = np.empty((h + 1, half + k), dtype=complex)
-    np.matmul(np.cos(angle), ext + g, out=out.real)
-    np.matmul(np.sin(angle), ext - g, out=out.imag)
+    np.matmul(np.cos(angle), plus, out=out.real)
+    np.matmul(np.sin(angle), minus, out=out.imag)
     t = np.arange(h + 1)[:, None]
     view = out.reshape(h + 1, half // k + 1, k)
     view *= np.exp((2j * math.pi / p) * (t * np.arange(k)))[:, None, :]
     view *= np.exp((2j * math.pi / p) * (t * (k * np.arange(half // k + 1))))[:, :, None]
-    residue = float(np.abs(out[:, [0, half]].imag).max())
+    residue = float(np.abs(out.imag[:, : half + 1 : half]).max())
     if not residue <= 1e-10:
         raise NumericalConsistencyError(
             f"imaginary residue {residue:.3g} exceeds 1e-10 in the inverse FFT"
         )
-    vals = fft.irfft(out[:, : half + 1], q, axis=1, overwrite_x=True)
-    if not np.isfinite(vals).all():
-        raise NumericalConsistencyError("inverse FFT of the table spectrum is not finite")
-    return vals
+    return fft.irfft(out[:, : half + 1], q, axis=1, overwrite_x=True)
 
 
 def _next_pow2(n: int) -> int:
@@ -545,26 +566,32 @@ def _spectrum_band(k: Kernel, epsilon: float, m: int) -> int:
     The band is the first row r >= 1 where phihat(2 pi r) is below 2^-60 / M
     of phihat(pi), so of Lhat (see _log_shares).  From it on, no spectrum
     row or symbol shift is evaluated: the fewer than M Q slots left 0 move
-    the table by under 2^-60.  The search reads rows up to the first of
-    M//2, M, 2M, ... (at most _MAX_SHIFTS) past the band.  The same values
-    give S(0), from phihat(0) and 2 phihat(2 pi r) below the band.  The
-    grid edge pi M must be below 1e-2 epsilon S(0), or BandwidthError
-    suggests the first M = 2^j, pi 2^j <= 1e9, whose edge is.
+    the table by under 2^-60.  One transform call reads rows 0 .. M//2, the
+    edge pi M and the probe rows M, 2M, ... (at most _MAX_SHIFTS).  Only a
+    band past M//2 takes a second, for the rows up to the first probe past
+    it.  The same values give S(0), from phihat(0) and 2 phihat(2 pi r)
+    below the band.  The grid edge pi M must be below 1e-2 epsilon S(0), or
+    BandwidthError suggests the first M = 2^j, pi 2^j <= 1e9, whose edge is.
     """
     _check_epsilon(epsilon)
     _check_width(k)
     cut = _LOG_CUT - math.log(m)
-    probe = (m // 2) << np.arange((_MAX_SHIFTS // (m // 2)).bit_length())
+    h = m // 2
+    probe = h << np.arange(1, (_MAX_SHIFTS // h).bit_length())
     # xi = 0 goes first, so a transform singular there raises SingularityError.
-    past = np.flatnonzero(_log_shares(k, TWO_PI * np.append(0, probe))[1:] < cut)
-    if not past.size:
-        raise BandwidthError(_TOO_SLOW)
-    # shares[r] is row r's for r = 0 .. reach, and shares[-1] the edge's.
-    shares = _log_shares(k, np.append(TWO_PI * np.arange(probe[past[0]] + 1), math.pi * m))
-    band = 1 + int(np.argmax(shares[1:] < cut))
-    log_s0 = shares[0] + math.log1p(2.0 * np.exp(shares[1:band] - shares[0]).sum())
+    shares = _log_shares(
+        k, np.concatenate((TWO_PI * np.arange(h + 1), [math.pi * m], TWO_PI * probe))
+    )
+    rows, edge = shares[: h + 1], shares[h + 1]  # rows[r] is row r's
+    if not rows[h] < cut:
+        past = np.flatnonzero(shares[h + 2 :] < cut)
+        if not past.size:
+            raise BandwidthError(_TOO_SLOW)
+        rows = np.append(rows, _log_shares(k, TWO_PI * np.arange(h + 1, probe[past[0]] + 1)))
+    band = 1 + int(np.argmax(rows[1:] < cut))
+    log_s0 = rows[0] + math.log1p(2.0 * np.exp(rows[1:band] - rows[0]).sum())
     level = math.log(1e-2 * epsilon) + log_s0
-    if shares[-1] >= level:
+    if edge >= level:
         below = np.flatnonzero(_log_shares(k, math.pi * 2.0 ** np.arange(29)) < level)
         if not below.size:
             raise BandwidthError(_TOO_SLOW)
@@ -580,44 +607,55 @@ def _spectrum_band(k: Kernel, epsilon: float, m: int) -> int:
 def _mq_log_slots(k: Kernel, n: int, q: int) -> np.ndarray:
     """log phihat of a multiquadric on the slots 2 pi i / Q, i < n.
 
-    The slots below _EXACT_SLOTS and every _FILL_STEP-th slot (anchor) past
-    them are evaluated.  Each run of slots from one anchor to the next is
-    the _FILL_POINTS-point Lagrange rule through the anchors around it, one
-    product of the anchor windows with the fixed _FILL_WEIGHTS.  K_nu(z)
-    has no zeros for Re z >= 0 (DLMF 10.42), so log phihat is analytic in
-    the disk of radius i slots about slot i, and the Cauchy estimate bounds
-    the rule's error by about max |log phihat| |w(s)| (step / i)^points,
-    with w(s) = prod_j (s - j), j = -4 .. 5, at most 872.  Each halving of
-    the exact slots multiplies that by 2^10: from 120 slots the fill was
-    1.5e4 ulp of max(1, |log phihat|) off the direct values, weighted by
-    exp(log phihat - its residue's row-0 value), from 240 16.6 and from 480
-    11.2 ulp, the rounding of the anchors.  Past |nu| = _FILL_MAX_ORDER
-    that rounding, which grows with the order, moved tables by more than
-    2 ulp (3.2e-16 at nu = 7.5, 7.7e-16 at nu = 32), so every slot is
-    evaluated.
+    The slots below _EXACT_SLOTS, every _FILL_STEP-th slot (anchor) from
+    there to _FAR_SLOTS and every _FAR_STEP-th past it are evaluated.  Each
+    run of slots from one anchor to the next is the _FILL_POINTS-point
+    Lagrange rule through the anchors around it, one product of the anchor
+    windows with the fixed weights of its step.  K_nu(z) has no zeros for
+    Re z >= 0 (DLMF 10.42), so log phihat is analytic in the disk of radius
+    i slots about slot i, and the Cauchy estimate bounds the rule's error by
+    about max |log phihat| |w(s)| (step / i)^points, with w(s) = prod_j
+    (s - j), j = -4 .. 5, at most 872.  Each halving of the exact slots
+    multiplies that by 2^10: from 120 slots the fill was 1.5e4 ulp of
+    max(1, |log phihat|) off the direct values, weighted by exp(log phihat
+    - its residue's row-0 value), from 240 16.6 and from 480 11.2 ulp, the
+    rounding of the anchors.  step / i is at most 8 / 480 on both stages:
+    the far step is 4 times the near one and starts 4 times as far out.
+    Past |nu| = _FILL_MAX_ORDER that rounding, which grows with the order,
+    moved tables by more than 2 ulp (3.2e-16 at nu = 7.5, 7.7e-16 at
+    nu = 32), so every slot is evaluated.
 
     A +inf value, a Bessel factor that overflows at a small c xi, raises
     KernelOverflowError here, before the fill could spread it as NaN.
     """
-    step, points = _FILL_STEP, _FILL_POINTS
+    points = _FILL_POINTS
     lead = points // 2 - 1  # anchors before the run a rule fills
-    first = _EXACT_SLOTS // step  # first run filled
-    runs = -(-n // step) - first
     filled = abs(k.bessel_order) <= _FILL_MAX_ORDER
-    idx = np.arange(n)
-    if filled:
-        idx = np.concatenate(
-            (idx[: first * step], step * np.arange(first, first + runs + points - lead - 1))
-        )
+    exact = min(n, _EXACT_SLOTS) if filled else n
+    # Each stage's anchors, from lead steps before its first run to the last
+    # one its last run's rule reads.  The far stage's first anchors are near
+    # ones, so each slot is evaluated once and idx is increasing.
+    stages = []
+    idx, last = [np.arange(exact)], exact - 1
+    for start, stop, step, weights in (
+        (_EXACT_SLOTS, min(n, _FAR_SLOTS), _FILL_STEP, _FILL_WEIGHTS),
+        (_FAR_SLOTS, n, _FAR_STEP, _FAR_WEIGHTS),
+    ):
+        if filled and stop > start:
+            nodes = start + step * np.arange(-lead, -(-(stop - start) // step) + points - lead - 1)
+            stages.append((nodes, weights, stop - start))
+            idx.append(nodes[nodes > last])
+            last = nodes[-1]
+    idx = np.concatenate(idx)
     logs = log_kernel_fourier(k, idx * (TWO_PI / q))
     if np.any(logs == math.inf):
         raise _overflow_error(k, "the transform")
-    if not filled:
-        return logs
-    exact = logs[: first * step]
-    anchors = np.concatenate((exact[(first - lead) * step :: step], logs[first * step :]))
-    fill = np.lib.stride_tricks.sliding_window_view(anchors, points) @ _FILL_WEIGHTS
-    return np.concatenate((exact, fill.ravel()[: n - first * step]))
+    parts = [logs[:exact]]
+    for nodes, weights, size in stages:
+        anchors = logs[np.searchsorted(idx, nodes)]
+        windows = _strided(anchors, (anchors.size - points + 1, points), (1, 1))
+        parts.append((windows @ weights).ravel()[:size])
+    return np.concatenate(parts) if stages else logs
 
 
 def build_cardinal_table(
@@ -640,33 +678,42 @@ def build_cardinal_table(
         )
     band = _spectrum_band(k, epsilon, M)
     q = _next_pow2(max(_MIN_PERIOD, _PERIOD_FACTOR * N))
+    if band * q > _MAX_SLOTS:
+        raise BandwidthError(
+            f"{_TOO_SLOW}: its spectrum needs {band} rows of {q} slots, over {_MAX_SLOTS}"
+        )
 
     # log phihat on the flat slots xi = 2 pi i / Q, i < band Q, which hold
     # exactly the shifts below 2 pi band: as a (band, Q) array, column s
     # holds the shifts of symbol residue s, row r the xi in [2 pi r,
     # 2 pi (r + 1)).  Each residue's terms are divided by its largest, row 0
-    # at column min(s, Q - s), and S on residues 0 .. Q/2 is their
-    # Q-periodization; S is even, so residue s > Q/2 reads it at Q - s.
-    # Lhat = phihat / S is formed in log space, and log S never: for a wide
-    # kernel phihat and S underflow, or log S is so large that a factor of 2
-    # in S rounds away in it, while their ratio is order one.
+    # at column min(s, Q - s), in log space, and exponentiated once: these
+    # shares lie in [0, 1].  S on residues 0 .. Q/2 is their
+    # Q-periodization, at least the residue's own top share 1; S is even,
+    # so residue s > Q/2 reads it at Q - s.  Lhat = share / S then lies in
+    # [0, 1] too.  phihat and S are never formed: for a wide kernel they
+    # underflow, or log S is so large that a factor of 2 in S rounds away in
+    # it, while the shares and their sums are order one.
     if k.family == kmod.MULTIQUADRIC:
         logs = _mq_log_slots(k, band * q, q)
     else:
         logs = log_kernel_fourier(k, np.arange(band * q) * (TWO_PI / q))
-    rows = logs.reshape(band, q)
-    fold = np.minimum(np.arange(q), q - np.arange(q))
-    rows -= rows[0, fold]
-    rows -= np.log(_periodize(np.exp(logs), q))[fold]
-    logs[logs < _LOG_TINY] = -np.inf
+    rows, half = logs.reshape(band, q), q // 2
+    top = rows[0, : half + 1].copy()
+    rows[:, : half + 1] -= top
+    rows[:, half + 1 :] -= top[half - 1 : 0 : -1]
+    np.copyto(logs, -np.inf, where=logs < _LOG_TINY)
     np.exp(logs, out=logs)
+    symbol = _periodize(logs, q)
+    rows[:, : half + 1] /= symbol
+    rows[:, half + 1 :] /= symbol[half - 1 : 0 : -1]
 
     # Every family's transform depends on |xi| only, so the table's
     # spectrum is real and even and L is real: _ifft_band forms half of the
     # transform and checks what it drops.  Sampling L at spacing 1/M sums
     # the spectrum over the shifts 2 pi M k, which _ifft_band's column step
     # does for every row it reads.
-    vals = _ifft_band(logs.reshape(band, q), M)
+    vals = _ifft_band(rows, M)
     return CardinalTable(k, N, M, _read_table(vals, N, M), epsilon, interp_order)
 
 

@@ -123,7 +123,10 @@ def _k_upward(order: float, k_lo, k_hi, r: np.ndarray, steps: int):
 
 def _ke_asymptotic(nu: float, r: np.ndarray) -> np.ndarray:
     """sqrt(pi / (2 r)) sum_k prod_{j <= k} (4 nu^2 - (2 j - 1)^2) / (8 j r), k <= 4."""
-    steps = [(4.0 * nu * nu - (2 * j - 1) ** 2) / (8.0 * j * r) for j in range(1, 5)]
+    # 8 j r overflows past r of about 5.6e306; the step is then the 0 it
+    # rounds to anyway.
+    with np.errstate(over="ignore"):
+        steps = [(4.0 * nu * nu - (2 * j - 1) ** 2) / (8.0 * j * r) for j in range(1, 5)]
     terms = np.cumprod(steps, axis=0)
     # pi / 2 / r is pi / (2 r) bit for bit, and stays nonzero up to the
     # largest double r, where 2 r overflows.
@@ -231,6 +234,11 @@ def _finite_constant(k: Kernel, compute) -> float:
 
 _LOG_MAX = math.log(np.finfo(float).max)
 _TINY = np.finfo(float).tiny
+# Below this c |xi| a multiquadric transform with alpha < -1/2 is the
+# small-argument form of its Bessel factor, exact to double precision
+# there.  scipy's kve returns inf below about 1e-305 at every order, and
+# Cephes' k1e below the smallest normal double.
+_SMALL_R = 1e-300
 
 
 def log_kernel_fourier(k: Kernel, xi):
@@ -290,11 +298,20 @@ def log_kernel_fourier(k: Kernel, xi):
             if np.count_nonzero(wide) > zeros:
                 log_ratio = np.where(wide, math.log(k.c) - np.log(absxi), log_ratio)
             out = log_pref + nu * log_ratio + np.log(_bessel_ke(nu, r)) - r
-        if zeros:
-            # K_|nu|(r) ~ Gamma(|nu|) 2^(|nu| - 1) r^(-|nu|) as r -> 0.
-            limit = (log_pref + math.lgamma(-nu) + (-nu - 1.0) * math.log(2.0)
-                     + 2.0 * nu * math.log(k.c))
-            out = np.where(at_zero, limit, out)
+            small = r < _SMALL_R if nu < 0.0 else False
+            if np.count_nonzero(small):
+                # K_|nu|(r) ~ Gamma(|nu|) 2^(|nu| - 1) r^(-|nu|) as r -> 0,
+                # which gives the value at xi = 0.  For |nu| < 1 the next
+                # term, Gamma(-|nu|) 2^(-|nu| - 1) r^|nu|, is above rounding
+                # for |nu| below about 0.03; the rest are r^2 relative.
+                limit = (log_pref + math.lgamma(-nu) + (-nu - 1.0) * math.log(2.0)
+                         + 2.0 * nu * math.log(k.c))
+                if nu > -1.0:
+                    log_half_r = math.log(k.c) - math.log(2.0) + np.log(absxi)
+                    limit = limit + np.log1p(
+                        math.gamma(nu) / math.gamma(-nu) * np.exp(-2.0 * nu * log_half_r)
+                    )
+                out = np.where(small, limit, out)
     return float(out) if np.ndim(out) == 0 else out
 
 

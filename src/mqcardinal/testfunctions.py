@@ -70,6 +70,12 @@ def dilated_sinc(sigma: float) -> TestFunction:
     )
 
 
+# Largest degree whose seminorm is a finite double: 1.13e307 at p = 143,
+# inf from 144 on.  Checked before the O(p^3) piece expansion, which takes
+# seconds at p = 200.
+_MAX_BSPLINE_DEGREE = 143
+
+
 @lru_cache(maxsize=None)
 def _bspline_pieces(p: int) -> np.ndarray:
     """Piece polynomials of the degree-p cardinal B-spline on [0, p+1].
@@ -102,6 +108,11 @@ def bspline(p: int) -> TestFunction:
     """
     if p < 1:
         raise DomainError("B-spline degree must be >= 1")
+    if p > _MAX_BSPLINE_DEGREE:
+        raise DomainError(
+            f"B-spline degree {p} has a W_2^p seminorm past double precision; "
+            f"use a degree of at most {_MAX_BSPLINE_DEGREE}"
+        )
     cols = _bspline_pieces(p)
     s = (p + 1) / 2.0
 

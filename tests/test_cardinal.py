@@ -745,6 +745,8 @@ class TestWidthRange:
     @example(family=-0.75, log_width=306.0, log_eps=-12.0)
     @example(family=-1.5, log_width=307.0, log_eps=-12.0)
     @example(family=-0.75, log_width=math.log10(5e307), log_eps=-12.0)
+    # A band of 828157 rows: 1.7e9 slots, a bare MemoryError.
+    @example(family=-1.5, log_width=-5.048698483185319, log_eps=-2.0)
     def test_result_or_typed_error(self, family, log_width, log_eps):
         # Warnings are errors (pyproject.toml), so an overflow warning fails.
         w, eps = 10.0**log_width, 10.0**log_eps
@@ -907,8 +909,8 @@ class TestTableTransform:
 
     @pytest.mark.parametrize("residue", [0, 5, 1024])
     def test_nan_spectrum_is_consistency_error(self, monkeypatch, residue):
-        # A NaN in one symbol residue (Q = 2048 here) reaches every value of
-        # the real inverse FFT, through columns 0 or Q/2 or any other.
+        # A NaN in one symbol residue (Q = 2048 here) reaches every slot of
+        # that residue in the spectrum the inverse FFT reads.
         periodize = cardinal._periodize
 
         def nan_periodize(flat, period):
@@ -918,6 +920,18 @@ class TestTableTransform:
 
         monkeypatch.setattr(cardinal, "_periodize", nan_periodize)
         with pytest.raises(NumericalConsistencyError):
+            mq.build_cardinal_table(mq.poisson(1.0), 1e-12, 32, 16)
+        monkeypatch.undo()
+        # A NaN in one spectrum slot, in row 1 of the residue, with a finite
+        # symbol: the transform checks the (band, Q) spectrum, not its output.
+        ifft = cardinal._ifft_band
+
+        def nan_ifft(head, m):
+            head[1, residue] = math.nan
+            return ifft(head, m)
+
+        monkeypatch.setattr(cardinal, "_ifft_band", nan_ifft)
+        with pytest.raises(NumericalConsistencyError, match="not finite"):
             mq.build_cardinal_table(mq.poisson(1.0), 1e-12, 32, 16)
 
     def test_build_peak_memory(self):
@@ -932,6 +946,13 @@ class TestTableTransform:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+
+    def test_spectrum_past_the_slot_cap_is_bandwidth_error(self):
+        # The band search finds 828157 rows; their 1.7e9 slots raised a bare
+        # MemoryError before anything was evaluated.
+        k = mq.multiquadric(-1.5, 10.0**-5.048698483185319)
+        with pytest.raises(BandwidthError, match="828157 rows of 2048 slots"):
+            mq.build_cardinal_table(k, 1e-2, 8, 16)
 
     def test_oversampling_past_band_reach_is_domain_error(self):
         # The band search reads at most 2^20 rows; at M = 2^22 its probe was
@@ -1039,9 +1060,31 @@ class TestSpectrumBand:
 
     @pytest.mark.parametrize("k", [mq.multiquadric(-0.75, 2.0), mq.multiquadric(-2.5, 2.0)])
     def test_filled_transform_evaluation_count(self, monkeypatch, k):
-        # The slot helper's anchors and exact prefix: 1739 values, against
-        # 10264 and 12624 on every slot below the band.
-        assert 0 < self.count_transform_values(monkeypatch, k, 64, 24) <= 1.05 * 1739
+        # The slot helper's exact prefix and anchors, every 8th slot to 1920
+        # and every 32nd past it, and the one band-search call: 959 values,
+        # against 10264 and 12624 on every slot below the band.  Anchors
+        # every 8th slot throughout and a two-call band search took 1739.
+        assert 0 < self.count_transform_values(monkeypatch, k, 64, 24) <= 1.05 * 959
+
+    @pytest.mark.parametrize(
+        "k, eps, m, calls",
+        [(mq.poisson(3.0), 1e-12, 48, 1), (mq.multiquadric(-2.5, 0.22), 5e-11, 48, 2)],
+    )
+    def test_band_search_calls(self, monkeypatch, k, eps, m, calls):
+        # One transform call reads rows 0 .. M//2, the edge and the probes;
+        # a second one only reads the rows past M//2 of a band that passes
+        # it (the kernel of test_rows_past_half_are_evaluated).
+        seen = []
+        shares = cardinal._log_shares
+
+        def spy(kern, xi):
+            seen.append(xi.size)
+            return shares(kern, xi)
+
+        monkeypatch.setattr(cardinal, "_log_shares", spy)
+        mq.build_cardinal_table(k, eps, 32, m)
+        assert len(seen) == calls
+        assert (cardinal._spectrum_band(k, eps, m) > m // 2) == (calls == 2)
 
     @staticmethod
     def fancy_read(vals, n, m):

@@ -212,6 +212,10 @@ class TestStudy:
         summary = json.loads((tmp_path / "h-conv-poisson-c1-run.json").read_text())
         assert summary["pass"] is True
 
+    def test_degree_past_finite_seminorm_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "study", "h-conv", "--degree", "200", "--out", str(tmp_path))
+        assert code == 2 and "at most 143" in err
+
     def test_unknown_study(self, capsys):
         code, _, err = run_cli(capsys, "study", "nosuch")
         assert code == 2 and "unknown study" in err

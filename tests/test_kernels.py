@@ -108,6 +108,18 @@ class TestBesselK:
         assert k == pytest.approx(mq.bessel_k(-nu, r), rel=1e-12)
         assert k > 0
 
+    @pytest.mark.parametrize("nu", [0.3, 2.0, 2.5])
+    @pytest.mark.parametrize("r", [1e307, np.finfo(float).max])
+    def test_no_warning_past_the_series_overflow(self, nu, r):
+        # 8 j r overflows in the asymptotic series past r of about 5.6e306
+        # and numpy warned; the step there is the 0 it rounds to.  Warnings
+        # are errors in these tests.
+        from mqcardinal.kernels import _bessel_ke
+
+        assert mq.bessel_k(nu, r) == 0.0
+        ke = _bessel_ke(nu, np.array([r]))[0]
+        assert ke == pytest.approx(math.sqrt(math.pi / 2.0 / r), rel=1e-15)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             mq.bessel_k(1.0, 0.0)
@@ -190,6 +202,35 @@ class TestFourierTransforms:
         assert mq.kernel_fourier(k, 1e-8) == pytest.approx(
             mq.kernel_fourier_at_zero(k), rel=2e-4
         )
+
+    # A fractional, an integer and a half-integer Bessel order.
+    @pytest.mark.parametrize("alpha", [-0.75, -1.5, -2.0])
+    @pytest.mark.parametrize("xi", [5e-324, 1e-320, 1e-310, 1e-305, 1e-301])
+    def test_tiny_argument_is_the_zero_limit(self, alpha, xi):
+        # kve(0.25, r) is inf below r of about 1e-305, and k1e(r) below the
+        # smallest normal double: the transform raised KernelOverflowError.
+        # Its value there is the one at xi = 0 to double precision.
+        k = mq.multiquadric(alpha, 1.0)
+        assert mq.kernel_fourier(k, xi) == pytest.approx(mq.kernel_fourier_at_zero(k), rel=1e-15)
+
+    @pytest.mark.parametrize("alpha", [-0.505, -0.5001])
+    @pytest.mark.parametrize("xi", [5e-324, 1e-320, 1e-301])
+    def test_tiny_argument_near_order_zero(self, alpha, xi):
+        # For |alpha + 1/2| below about 0.03 the second term of K's
+        # small-argument form is above rounding even at a subnormal c |xi|.
+        mpmath = pytest.importorskip("mpmath")
+        k = mq.multiquadric(alpha, 2.0)
+        with mpmath.workdps(40):
+            a, x = mpmath.mpf(alpha), 2 * mpmath.mpf(xi)
+            want = float(
+                mpmath.sqrt(2 * mpmath.pi) * 2 ** (1 + a) / mpmath.gamma(-a)
+                * (4 / x) ** (a + 0.5) * mpmath.besselk(a + 0.5, x)
+            )
+        assert mq.kernel_fourier(k, xi) == pytest.approx(want, rel=1e-13)
+
+    def test_tiny_argument_singular_order_keeps_its_error(self):
+        with pytest.raises(KernelOverflowError):
+            mq.kernel_fourier(mq.multiquadric(-0.25, 1.0), 1e-320)
 
     @pytest.mark.parametrize("alpha, c", [(-200.0, 1.0), (-3.0, 1e-120)])
     def test_overflowing_constants_are_typed(self, alpha, c):

@@ -8,6 +8,7 @@ from scipy.integrate import simpson
 from scipy.interpolate import BSpline
 
 import mqcardinal as mq
+from mqcardinal import testfunctions
 from mqcardinal.errors import DomainError
 from mqcardinal.testfunctions import zero
 
@@ -92,6 +93,22 @@ class TestBSpline:
     def test_degree_domain(self):
         with pytest.raises(DomainError):
             mq.bspline(0)
+
+    def test_largest_degree_with_finite_seminorm(self):
+        # s^(p - 1/2) sqrt(sum binom(p, i)^2) is 1.13e307 at p = 143, inf
+        # for 144 <= p <= 161, and a bare OverflowError from 162 on.
+        g = mq.bspline(143)
+        assert math.isfinite(g.seminorm) and g.seminorm > 1e306
+
+    @pytest.mark.parametrize("p", [144, 161, 162, 200])
+    def test_seminorm_overflow_is_domain_error(self, monkeypatch, p):
+        # Raised before the O(p^3) piece expansion, which takes 5 s at p = 200.
+        def expand(_):
+            raise AssertionError("piece expansion ran")
+
+        monkeypatch.setattr(testfunctions, "_bspline_pieces", expand)
+        with pytest.raises(DomainError, match="at most 143"):
+            mq.bspline(p)
 
     @pytest.mark.parametrize("p", range(1, 31))
     def test_matches_scipy_basis_element(self, p):
