@@ -188,17 +188,23 @@ def _kernel_spatial_inplace(k: Kernel, d: np.ndarray) -> np.ndarray:
     The multiquadric allocates nothing; the gaussian needs one temporary.
     For alpha = -1, ``np.reciprocal`` gives the bits of ``**`` in about half
     the time.
+
+    A square or a power past double precision rounds to inf with no
+    warning: at a far argument the kernel then takes its limit, 0 for the
+    gaussian and for alpha < 0, and a value that overflows (a tiny c) is
+    inf, which the Gram factorizations report as IllConditionedError.
     """
-    if k.family == GAUSSIAN:
-        np.multiply(d, -k.lam * d, out=d)
-        np.exp(d, out=d)
-    else:
-        np.multiply(d, d, out=d)
-        d += k.c * k.c
-        if k.alpha == -1.0:
-            np.reciprocal(d, out=d)
+    with np.errstate(over="ignore"):
+        if k.family == GAUSSIAN:
+            np.multiply(d, -k.lam * d, out=d)
+            np.exp(d, out=d)
         else:
-            d **= k.alpha
+            np.multiply(d, d, out=d)
+            d += k.c * k.c
+            if k.alpha == -1.0:
+                np.reciprocal(d, out=d)
+            else:
+                d **= k.alpha
     return d
 
 
@@ -297,8 +303,18 @@ def log_kernel_fourier(k: Kernel, xi):
             wide = np.isinf(ratio)
             if np.count_nonzero(wide) > zeros:
                 log_ratio = np.where(wide, math.log(k.c) - np.log(absxi), log_ratio)
-            out = log_pref + nu * log_ratio + np.log(_bessel_ke(nu, r)) - r
+            ke = _bessel_ke(nu, r)
+            out = log_pref + nu * log_ratio + np.log(ke) - r
             small = r < _SMALL_R if nu < 0.0 else False
+            if nu < -1.0:
+                # Past _SMALL_R, K_|nu|(r) itself can overflow for |nu| > 1.
+                # The form below is exact to double precision where K's next
+                # term, r^2 / (4 (|nu| - 1)) relative, is below rounding: up
+                # to r = 2.1e-8 sqrt(|nu| - 1), past every r where K
+                # overflows for |nu| below about 37.5.  Beyond that the
+                # overflow stays a KernelOverflowError.
+                exact = r < math.sqrt(4.0 * (-nu - 1.0) * 2.0**-53)
+                small = small | (np.isinf(ke) & exact)
             if np.count_nonzero(small):
                 # K_|nu|(r) ~ Gamma(|nu|) 2^(|nu| - 1) r^(-|nu|) as r -> 0,
                 # which gives the value at xi = 0.  For |nu| < 1 the next

@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
+from scipy.linalg import lapack
 
 import mqcardinal as mq
 from mqcardinal import interpolation
@@ -353,12 +355,59 @@ class TestEvalGramBlocks:
         assert abs(scalar - dense_eval_gram(g, float(nodes[0]) + 0.1)[0]) <= tol
 
 
+class TestFarProbes:
+    """A square past double precision is the kernel's limit, with no warning."""
+
+    @pytest.mark.parametrize(
+        "k", [mq.poisson(1.0), mq.multiquadric(-1.5, 2.0), mq.gaussian(0.5)]
+    )
+    @pytest.mark.parametrize("x", [1e200, -1e300, np.inf, -np.inf])
+    def test_limit_without_warning(self, k, x):
+        nodes = np.array([-1.0, 0.25, 2.0])
+        g = mq.fit_gram(mq.SampleSet(nodes, np.array([1.0, -2.0, 0.5])), k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mq.kernel_spatial(k, x) == 0.0
+            assert mq.eval_gram(g, x) == 0.0
+            np.testing.assert_array_equal(mq.kernel_spatial(k, np.array([x, -x])), 0.0)
+            np.testing.assert_array_equal(mq.eval_gram(g, np.array([x, -x])), 0.0)
+
+
+def plain_kernel(d, k):
+    """The plain kernel expression; a far argument gives the limit, 0."""
+    with np.errstate(over="ignore"):
+        if k.family == "gaussian":
+            return np.exp(-k.lam * d * d)
+        return (d * d + k.c * k.c) ** k.alpha
+
+
 def plain_gram(nodes, k):
     """The Gram matrix as one broadcast of the plain kernel expression."""
-    d = nodes[:, None] - nodes[None, :]
-    if k.family == "gaussian":
-        return np.exp(-k.lam * d * d)
-    return (d * d + k.c * k.c) ** k.alpha
+    return plain_kernel(nodes[:, None] - nodes[None, :], k)
+
+
+def plain_fit(nodes, y, k):
+    """fit_gram's Cholesky solve and refinement step on plain_gram."""
+    mat = plain_gram(nodes, k)
+    chol = lapack.dpotrf(mat.T, lower=1, clean=0, overwrite_a=0)[0]
+    a = lapack.dpotrs(chol, y, lower=1)[0]
+    return a + lapack.dpotrs(chol, y - mat @ a, lower=1)[0]
+
+
+def blocked_subtract_eval(g, x):
+    """eval_gram's blocks, each formed by a broadcast np.subtract."""
+    probes = np.asarray(x, dtype=float).ravel()
+    rows = interpolation._block_rows(g.nodes.size)
+    vals = [plain_kernel(np.subtract(probes[i : i + rows, None], g.nodes[None, :]), g.kernel) @ g.a
+            for i in range(0, probes.size, rows)]
+    return np.concatenate(vals).reshape(np.shape(x))
+
+
+# Node sets of n = 1, 2, then a last 64-row block of rows - 1, rows and 1 row.
+BLOCK_EDGE_SIZES = (1, 2, 10 * 64 - 1, 10 * 64, 10 * 64 + 1)
+# Probes at +-0, at magnitudes up to 1e300, at +-inf and NaN.
+EDGE_PROBES = np.array([0.0, -0.0, 5e-324, -1e-300, 0.3, -7.25, 1e15 + 0.5, -1e100, 1e200,
+                        -1e200, 1e300, -1e300, np.inf, -np.inf, np.nan])
 
 
 class TestGramCholesky:
@@ -391,13 +440,53 @@ class TestGramCholesky:
         "k", [mq.poisson(1.0), mq.multiquadric(-2.5, 0.7), mq.gaussian(0.5)]
     )
     def test_blocked_matrix_is_the_broadcast(self, k):
-        # n = 1, 2, then a last block of rows - 1, rows and 1 row.
-        for n in (1, 2, 10 * 64 - 1, 10 * 64, 10 * 64 + 1):
+        # The rank-2 product of each block, the Cholesky factor and the
+        # refined coefficients are bit for bit those of the subtract.
+        for n in BLOCK_EDGE_SIZES:
             if n > 2:
                 assert interpolation._block_rows(n) == 64
-            nodes = np.arange(n) - n / 2.0 + np.random.default_rng(n).uniform(-0.2, 0.2, n)
+            rng = np.random.default_rng(n)
+            nodes = np.arange(n) - n / 2.0 + rng.uniform(-0.2, 0.2, n)
             np.testing.assert_array_equal(interpolation._gram_matrix(nodes, k),
                                           plain_gram(nodes, k))
+            y = rng.normal(size=n)
+            np.testing.assert_array_equal(mq.fit_gram(mq.SampleSet(nodes, y), k).a,
+                                          plain_fit(nodes, y, k))
+
+    @pytest.mark.parametrize(
+        "k", [mq.poisson(1.0), mq.multiquadric(-2.5, 0.7), mq.gaussian(0.5)]
+    )
+    def test_eval_is_the_blocked_subtract(self, k):
+        for n in BLOCK_EDGE_SIZES:
+            rng = np.random.default_rng(n)
+            nodes = np.arange(n) - n / 2.0 + rng.uniform(-0.2, 0.2, n)
+            g = mq.fit_gram(mq.SampleSet(nodes, rng.normal(size=n)), k)
+            rows = interpolation._block_rows(n)
+            x = np.concatenate([nodes, EDGE_PROBES,
+                                rng.uniform(nodes[0] - 2.0, nodes[-1] + 2.0, rows + 3)])
+            rng.shuffle(x)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = mq.eval_gram(g, x)
+                np.testing.assert_array_equal(got, blocked_subtract_eval(g, x))
+                for p in (nodes[-1], -0.0, 1e300, -np.inf, np.nan):
+                    scalar = mq.eval_gram(g, np.float64(p))  # a 0-d probe
+                    assert isinstance(scalar, float)
+                    np.testing.assert_array_equal(scalar, blocked_subtract_eval(g, p))
+
+    def test_difference_factors_are_the_subtract(self):
+        # Each entry is the one rounding of x_i - x_j, the subtract's value,
+        # for probes far from the nodes and for nodes of every magnitude.
+        rng = np.random.default_rng(7)
+        mags = 10.0 ** rng.uniform(-300, 300, 200) * rng.choice([-1.0, 1.0], 200)
+        nodes = np.unique(np.concatenate([mags, [0.0, 1.0, 1.0 + 2.0**-52]]))
+        x = np.concatenate([EDGE_PROBES, nodes, -mags])
+        left, right = interpolation._difference_factors(x, nodes)
+        with np.errstate(invalid="ignore"):
+            for rows in (1, 2, 64, x.size):
+                for i in range(0, x.size, rows):
+                    np.testing.assert_array_equal(left[i : i + rows] @ right,
+                                                  np.subtract.outer(x[i : i + rows], nodes))
 
     def test_not_positive_definite_carries_lu_estimate(self):
         # The 49-node gaussian grid fails the factorization; the estimate is

@@ -228,6 +228,30 @@ class TestFourierTransforms:
             )
         assert mq.kernel_fourier(k, xi) == pytest.approx(want, rel=1e-13)
 
+    # Half-integer, fractional and integer orders |nu| > 1, each where
+    # K_|nu|(c |xi|) overflows although the transform is finite.
+    @pytest.mark.parametrize(
+        "alpha, xi", [(-2.0, 1.01e-300), (-2.0, 1e-210), (-3.3, 1e-299), (-2.5, 1e-160),
+                      (-10.0, 1e-33), (-30.0, 1e-11)]
+    )
+    def test_tiny_argument_where_bessel_factor_overflows(self, alpha, xi):
+        mpmath = pytest.importorskip("mpmath")
+        k = mq.multiquadric(alpha, 1.0)
+        with mpmath.workdps(40):
+            a, x = mpmath.mpf(alpha), mpmath.mpf(xi)
+            want = float(
+                mpmath.sqrt(2 * mpmath.pi) * 2 ** (1 + a) / mpmath.gamma(-a)
+                * (1 / x) ** (a + 0.5) * mpmath.besselk(a + 0.5, x)
+            )
+        assert mq.kernel_fourier(k, xi) == pytest.approx(want, rel=0, abs=1e-12)
+        assert mq.kernel_fourier(k, np.array([xi, 0.0]))[0] == mq.kernel_fourier(k, xi)
+
+    def test_tiny_argument_past_the_leading_term_keeps_its_error(self):
+        # K_44.5 overflows up to r of about 3.6e-6, where its second term is
+        # above rounding: the leading term alone would not be exact.
+        with pytest.raises(KernelOverflowError):
+            mq.kernel_fourier(mq.multiquadric(-45.0, 1.0), 1e-6)
+
     def test_tiny_argument_singular_order_keeps_its_error(self):
         with pytest.raises(KernelOverflowError):
             mq.kernel_fourier(mq.multiquadric(-0.25, 1.0), 1e-320)
