@@ -11,8 +11,9 @@ band where the transform falls below rounding, and one routine,
 S.  A pruned FFT inverts Lhat; its column step sums Lhat over the period
 2 pi M, as sampling L at spacing 1/M does.  Lhat is real and even, so L is
 real: the transform forms only the columns of its Hermitian rows up to
-Q/2 and inverts each row by a real FFT.  L is then evaluated off-grid by
-local polynomial interpolation.
+Q/2 and inverts each row by a real FFT, over blocks of rows, keeping only
+the columns the table reads.  L is then evaluated off-grid by local
+polynomial interpolation.
 """
 
 from __future__ import annotations
@@ -111,6 +112,8 @@ _MAX_SLOTS = 1 << 24
 _MAX_WIDTH = np.finfo(float).max / (4.0 * math.pi)
 # Shift-grid values _symbol_terms forms at a time.
 _SYMBOL_BLOCK = 1 << 16
+# Bytes of complex transform rows _ifft_band forms at a time.
+_IFFT_BLOCK_BYTES = 256 * 1024
 _TOO_SLOW = "kernel transform decays too slowly to tabulate"
 
 
@@ -491,24 +494,25 @@ def _periodize(flat: np.ndarray, period: int) -> np.ndarray:
     return ends[: half + 1] + ends[: half - 1 : -1]
 
 
-def _ifft_band(head: np.ndarray, m: int) -> np.ndarray:
-    """Rows 0 .. M//2 of ``M * ifft(x)``, a real (M//2 + 1, Q) array, for x
-    of length p = M Q the sum of f over the shifts k p, with f the even
-    sequence on the integers whose slots 0, 1, ... are the flat (rows, Q)
-    ``head`` (Q a power of 2) and whose others are 0.
+def _ifft_band(head: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Columns 0 .. n+1 and Q-n-2 .. Q-1 of rows 0 .. M//2 of ``M * ifft(x)``,
+    a real (M//2 + 1, 2n + 4) array, for x of length p = M Q the sum of f
+    over the shifts k p, with f the even sequence on the integers whose
+    slots 0, 1, ... are the flat (rows, Q) ``head`` (Q a power of 2) and
+    whose others are 0.  With n = Q/2 - 2 it is every column.
 
-    Entry ``[t, j]`` is output ``j M + t``.  With input index ``Q r + s``,
-    the transform splits into length-M transforms down the columns of x as
-    an (M, Q) array, a twiddle ``exp(2 pi i s t / p)`` and length-Q
-    transforms along the rows (the four-step FFT).  Output ``j M + t`` for
-    t > M/2 equals output ``(Q - 1 - j) M + (M - t)``, so only rows
-    t <= M/2 are formed.  The column step's exponent ``2 pi r t / M`` has
-    period M in r, so it sums any row r of f onto row r mod M of x, rows of
-    either sign and past M too: only head's rows and their mirrors are
-    nonzero, and the step is a dense product with them (FFT pruning).  Row
-    -r of f is ``g[r]``, whose exponent -r t / M pairs it with head's row
-    r, so the step is ``cos(2 pi r t / M) @ (head + g) + i sin(2 pi r t /
-    M) @ (head - g)``.
+    Entry ``[t, j]`` of the full (M//2 + 1, Q) array is output ``j M + t``.
+    With input index ``Q r + s``, the transform splits into length-M
+    transforms down the columns of x as an (M, Q) array, a twiddle
+    ``exp(2 pi i s t / p)`` and length-Q transforms along the rows (the
+    four-step FFT).  Output ``j M + t`` for t > M/2 equals output
+    ``(Q - 1 - j) M + (M - t)``, so only rows t <= M/2 are formed.  The
+    column step's exponent ``2 pi r t / M`` has period M in r, so it sums
+    any row r of f onto row r mod M of x, rows of either sign and past M
+    too: only head's rows and their mirrors are nonzero, and the step is a
+    dense product with them (FFT pruning).  Row -r of f is ``g[r]``, whose
+    exponent -r t / M pairs it with head's row r, so the step is
+    ``cos(2 pi r t / M) @ (head + g) + i sin(2 pi r t / M) @ (head - g)``.
 
     x is real and even, so each twiddled row z is Hermitian, z[Q - s] =
     conj z[s], and its transform is real: only columns s <= Q/2 are formed,
@@ -518,11 +522,21 @@ def _ifft_band(head: np.ndarray, m: int) -> np.ndarray:
     does a ``head`` value that is not finite.  Every value of a finite
     ``head`` enters each output with a weight of modulus at most 1, so the
     output is finite too: the build's Lhat lies in [0, 1].
+
+    The column step, the twiddle and the row transforms run over blocks of
+    output rows t, about ``_IFFT_BLOCK_BYTES`` of complex rows each, and
+    only the 2n + 4 columns kept are copied out of each block.  So beside
+    head's two (rows + 1, Q/2 + K) column-step inputs the transform holds
+    its output and one block, never an (M//2 + 1, Q) array.  Blocks of
+    128 KiB to 1 MiB all left the traced peak of a build at M = 4096,
+    N = 32, Q = 2048 at 4.25-4.36 MiB; over a replica of the benchmark's
+    table-build loop 128 KiB and 512 KiB blocks took 1% and 8% longer
+    than 256 KiB.
     """
     if not np.isfinite(head).all():
         raise NumericalConsistencyError("table spectrum for the inverse FFT is not finite")
     rows, q = head.shape
-    p, h, half = m * q, m // 2, q // 2
+    p, h, half, keep = m * q, m // 2, q // 2, n + 2
     # The twiddle factors as exp(2 pi i t s1 / p) * exp(2 pi i t K s2 / p)
     # for s = s1 + K s2, so no (M//2 + 1, Q/2 + 1) array of it is formed.
     # Columns 0 .. Q/2 are padded with zeros to Q/2 + K, so the split is a
@@ -540,20 +554,45 @@ def _ifft_band(head: np.ndarray, m: int) -> np.ndarray:
     np.subtract(head[1:, 1 : half + 1], mirror[:-1], out=minus[1:rows, 1 : half + 1])
     plus[rows, 1 : half + 1] += mirror[-1]
     minus[rows, 1 : half + 1] -= mirror[-1]
-    angle = (TWO_PI / m) * np.outer(np.arange(h + 1), np.arange(rows + 1))
-    out = np.empty((h + 1, half + k), dtype=complex)
-    np.matmul(np.cos(angle), plus, out=out.real)
-    np.matmul(np.sin(angle), minus, out=out.imag)
-    t = np.arange(h + 1)[:, None]
-    view = out.reshape(h + 1, half // k + 1, k)
-    view *= np.exp((2j * math.pi / p) * (t * np.arange(k)))[:, None, :]
-    view *= np.exp((2j * math.pi / p) * (t * (k * np.arange(half // k + 1))))[:, :, None]
-    residue = float(np.abs(out.imag[:, : half + 1 : half]).max())
+    r, s1, s2 = np.arange(rows + 1), np.arange(k), k * np.arange(half // k + 1)
+    # Blocks of step rows t end at the multiples of step below M//2 and the
+    # last one at M//2 + 1, so none has one row: a one-row product rounds
+    # differently from the same row of a larger one.  The per-row factors
+    # (the column step's cosines and sines, both twiddle factors) are formed
+    # for a group of blocks at a time, about _IFFT_BLOCK_BYTES of them too.
+    step = max(2, _IFFT_BLOCK_BYTES // (16 * (half + k)))
+    ends = list(range(step, h, step)) + [h + 1]
+    blocks = list(zip([0] + ends[:-1], ends))
+    group = max(1, _IFFT_BLOCK_BYTES // (16 * (rows + 2 + k + half // k) * step))
+    buf = np.empty((min(step + 1, h + 1), half + k), dtype=complex)
+    vals = np.empty((h + 1, 2 * keep))
+    edge = np.empty((h + 1, 2))  # the imaginary parts of columns 0 and Q/2
+    for g in range(0, len(blocks), group):
+        chunk = blocks[g : g + group]
+        first = chunk[0][0]
+        t = np.arange(first, chunk[-1][1])[:, None]
+        angle = (TWO_PI / m) * (t * r)
+        cos, sin = np.cos(angle), np.sin(angle)
+        tw1 = np.exp((2j * math.pi / p) * (t * s1))[:, None, :]
+        tw2 = np.exp((2j * math.pi / p) * (t * s2))[:, :, None]
+        for lo, hi in chunk:
+            rel = slice(lo - first, hi - first)
+            out = buf[: hi - lo]
+            np.matmul(cos[rel], plus, out=out.real)
+            np.matmul(sin[rel], minus, out=out.imag)
+            view = out.reshape(hi - lo, half // k + 1, k)
+            view *= tw1[rel]
+            view *= tw2[rel]
+            edge[lo:hi] = out.imag[:, : half + 1 : half]
+            block = fft.irfft(out[:, : half + 1], q, axis=1, overwrite_x=True)
+            vals[lo:hi, :keep] = block[:, :keep]
+            vals[lo:hi, keep:] = block[:, q - keep :]
+    residue = float(np.abs(edge).max())
     if not residue <= 1e-10:
         raise NumericalConsistencyError(
             f"imaginary residue {residue:.3g} exceeds 1e-10 in the inverse FFT"
         )
-    return fft.irfft(out[:, : half + 1], q, axis=1, overwrite_x=True)
+    return vals
 
 
 def _next_pow2(n: int) -> int:
@@ -569,9 +608,13 @@ def _spectrum_band(k: Kernel, epsilon: float, m: int) -> int:
     the table by under 2^-60.  One transform call reads rows 0 .. M//2, the
     edge pi M and the probe rows M, 2M, ... (at most _MAX_SHIFTS).  Only a
     band past M//2 takes a second, for the rows up to the first probe past
-    it.  The same values give S(0), from phihat(0) and 2 phihat(2 pi r)
-    below the band.  The grid edge pi M must be below 1e-2 epsilon S(0), or
-    BandwidthError suggests the first M = 2^j, pi 2^j <= 1e9, whose edge is.
+    it, but at most up to row _MAX_SLOTS // _MIN_PERIOD: Q is at least
+    _MIN_PERIOD, so no build admits a band past it.  Such a band is found by
+    bisection and returned without the check below, which the build's slot
+    budget makes moot: a larger M does not narrow the band.  The values
+    read give S(0), from phihat(0) and 2 phihat(2 pi r) below the band.
+    The grid edge pi M must be below 1e-2 epsilon S(0), or BandwidthError
+    suggests the first M = 2^j, pi 2^j <= 1e9, whose edge is.
     """
     _check_epsilon(epsilon)
     _check_width(k)
@@ -587,7 +630,21 @@ def _spectrum_band(k: Kernel, epsilon: float, m: int) -> int:
         past = np.flatnonzero(shares[h + 2 :] < cut)
         if not past.size:
             raise BandwidthError(_TOO_SLOW)
-        rows = np.append(rows, _log_shares(k, TWO_PI * np.arange(h + 1, probe[past[0]] + 1)))
+        stop = int(probe[past[0]])
+        dense = min(stop, _MAX_SLOTS // _MIN_PERIOD)
+        if dense > h:
+            rows = np.append(rows, _log_shares(k, TWO_PI * np.arange(h + 1, dense + 1)))
+        if not rows[-1] < cut:
+            # Past the rows any build admits: bisect between the last row
+            # read and the probe, since the shares fall with |xi|.
+            low = rows.size - 1
+            while stop - low > 1:
+                mid = (low + stop) // 2
+                if _log_shares(k, np.array([TWO_PI * mid]))[0] < cut:
+                    stop = mid
+                else:
+                    low = mid
+            return stop
     band = 1 + int(np.argmax(rows[1:] < cut))
     log_s0 = rows[0] + math.log1p(2.0 * np.exp(rows[1:band] - rows[0]).sum())
     level = math.log(1e-2 * epsilon) + log_s0
@@ -668,6 +725,12 @@ def build_cardinal_table(
     integer Q), which makes the inverse DFT reproduce the cardinal property
     ``L(j) = delta_{0 j}`` at integers up to rounding.  S sums every shift
     below the band (see :func:`_spectrum_band`).
+
+    Beside the (band, Q) spectrum, capped at _MAX_SLOTS, a build holds
+    about two tables' worth of memory (the transform's kept columns, the
+    read-out grid and the table) and one block of :func:`_ifft_band`: for
+    poisson c = 1, N = 32, eps = 1e-10 a traced peak of 4.25 MiB at
+    M = 4096 and 16.5 MiB at M = 16384, for tables of 2 and 8 MiB.
     """
     if N < 4 or M < 4:
         raise DomainError("table requires N >= 4 and M >= 4")
@@ -712,14 +775,16 @@ def build_cardinal_table(
     # spectrum is real and even and L is real: _ifft_band forms half of the
     # transform and checks what it drops.  Sampling L at spacing 1/M sums
     # the spectrum over the shifts 2 pi M k, which _ifft_band's column step
-    # does for every row it reads.
-    vals = _ifft_band(rows, M)
+    # does for every row it reads.  It returns only the 2N + 4 columns
+    # around j = 0 that _read_table reads.
+    vals = _ifft_band(rows, M, N)
     return CardinalTable(k, N, M, _read_table(vals, N, M), epsilon, interp_order)
 
 
 def _read_table(vals: np.ndarray, n: int, m: int) -> np.ndarray:
     """L(i / M), i = -N M .. N M, symmetrized, from the real (M//2 + 1, Q)
-    output of :func:`_ifft_band`.
+    transform of :func:`_ifft_band`, or any array of its first and last
+    columns, at least N + 1 of each (Q below is the array's width).
 
     Output i = j M + t is entry [t, j] for t <= M/2, and entry
     [M - t, Q - 1 - j] for t > M/2.  Output p - i (p = M Q), which is

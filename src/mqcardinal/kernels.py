@@ -245,6 +245,34 @@ _TINY = np.finfo(float).tiny
 # there.  scipy's kve returns inf below about 1e-305 at every order, and
 # Cephes' k1e below the smallest normal double.
 _SMALL_R = 1e-300
+# Terms of K's small-argument series past its leading one that the
+# transform takes where K_|nu| overflows; see _k_series.
+_K_SERIES_TERMS = 8
+
+
+def _k_series(a: float, r: np.ndarray) -> np.ndarray:
+    """K_a(r) / (Gamma(a) 2^(a - 1) r^(-a)) - 1 for a > 1, summed over the
+    terms ``prod_{i <= j} (-r^2 / 4) / (i (a - i))``, j = 1 .. min(
+    _K_SERIES_TERMS, ceil(a) - 1), of K's small-argument series (DLMF
+    10.27.4 with 10.25.2, and 10.31.1 at integer orders).
+
+    The series' other part is about (r / 2)^(2 a) Gamma(-a) / Gamma(a)
+    relative, below rounding wherever K_a(r) overflows.  Where it does,
+    r < 2 for every a < 171.6, the order below which Gamma(a) is finite,
+    and the terms fall by r^2 / (4 j (a - j)) < 1 / (j (a - j)) each: the
+    last one is below 2^-60 at a = 171.6, and at a smaller a K overflows
+    only at a smaller r.  For a below about 37.5 even the first term is
+    below rounding there.  Against mpmath the transform is then within
+    6e-14 relative (its log, some hundreds, rounds to about 1e-13) for
+    orders alpha = -2 to -171, from each one's overflow edge down.
+    """
+    step = -0.25 * r * r
+    term = np.ones_like(r)
+    total = np.zeros_like(r)
+    for j in range(1, min(_K_SERIES_TERMS, math.ceil(a) - 1) + 1):
+        term = term * step / (j * (a - j))
+        total += term
+    return total
 
 
 def log_kernel_fourier(k: Kernel, xi):
@@ -307,14 +335,9 @@ def log_kernel_fourier(k: Kernel, xi):
             out = log_pref + nu * log_ratio + np.log(ke) - r
             small = r < _SMALL_R if nu < 0.0 else False
             if nu < -1.0:
-                # Past _SMALL_R, K_|nu|(r) itself can overflow for |nu| > 1.
-                # The form below is exact to double precision where K's next
-                # term, r^2 / (4 (|nu| - 1)) relative, is below rounding: up
-                # to r = 2.1e-8 sqrt(|nu| - 1), past every r where K
-                # overflows for |nu| below about 37.5.  Beyond that the
-                # overflow stays a KernelOverflowError.
-                exact = r < math.sqrt(4.0 * (-nu - 1.0) * 2.0**-53)
-                small = small | (np.isinf(ke) & exact)
+                # Past _SMALL_R, K_|nu|(r) itself can overflow for |nu| > 1;
+                # the series below takes its place wherever it does.
+                small = small | np.isinf(ke)
             if np.count_nonzero(small):
                 # K_|nu|(r) ~ Gamma(|nu|) 2^(|nu| - 1) r^(-|nu|) as r -> 0,
                 # which gives the value at xi = 0.  For |nu| < 1 the next
@@ -327,6 +350,8 @@ def log_kernel_fourier(k: Kernel, xi):
                     limit = limit + np.log1p(
                         math.gamma(nu) / math.gamma(-nu) * np.exp(-2.0 * nu * log_half_r)
                     )
+                elif nu < -1.0:
+                    limit = limit + np.log1p(_k_series(-nu, r))
                 out = np.where(small, limit, out)
     return float(out) if np.ndim(out) == 0 else out
 

@@ -39,6 +39,7 @@ from mqcardinal.errors import (
     SingularityError,
     UnsupportedKernelError,
 )
+from oracle import cardinal_oracle
 
 
 def long_symbol(k, xi, terms=300):
@@ -410,14 +411,17 @@ class TestSlotFill:
         scale = np.finfo(float).eps * np.maximum(1.0, np.abs(want))
         assert np.max(np.abs(got - want) / scale) <= 2.0 * np.max(np.abs(direct - want) / scale) + 8.0
 
-    def test_overflowing_bessel_factor_is_typed(self):
-        # phihat(pi) is finite, but K_99.5(c |xi|) overflows on the small
-        # slots: the build subtracted inf from inf (a RuntimeWarning) and
-        # then raised NumericalConsistencyError.
+    def test_overflowing_bessel_factor_takes_the_series(self):
+        # K_99.5(c |xi|) overflows on the nine smallest slots: the build
+        # subtracted inf from inf (a RuntimeWarning) and raised
+        # NumericalConsistencyError, and then KernelOverflowError.  K's
+        # small-argument series gives those slots, and the table agrees with
+        # the quadrature oracle off the integers (2.4e-15 measured).
         k = mq.multiquadric(-100.0, 2.0)
-        assert math.isfinite(mq.log_kernel_fourier(k, math.pi))
-        with pytest.raises(KernelOverflowError, match="larger c or an alpha nearer 0"):
-            mq.build_cardinal_table(k, 1e-11, 32, 64)
+        t = mq.build_cardinal_table(k, 1e-11, 32, 64)
+        idx = np.arange(1, 8 * 64, 13)
+        got = t.values[32 * 64 + idx]
+        assert np.max(np.abs(got - cardinal_oracle(k, idx / 64.0))) <= 1e-14
 
 
 def symbol_terms_loop(k, tau, xi_star):
@@ -841,7 +845,7 @@ class TestTableTransform:
         q = head.shape[1]
         p = m * q
         want = (m * np.fft.ifft(scatter(head.ravel(), p))).reshape(q, m).T[: m // 2 + 1]
-        got = _ifft_band(head, m)
+        got = _ifft_band(head, m, q // 2 - 2)
         # Entry [t, j] holds output j M + t, for rows t <= M/2; L is real.
         assert got.dtype == float and got.shape == (m // 2 + 1, q)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
@@ -890,7 +894,7 @@ class TestTableTransform:
         head = np.zeros(-(-flat.size // q) * q)
         head[: flat.size] = flat
         want = (m * np.fft.ifft(full)).reshape(q, m).T[: m // 2 + 1]
-        got = _ifft_band(head.reshape(-1, q), m)
+        got = _ifft_band(head.reshape(-1, q), m, q // 2 - 2)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
     @given(
@@ -926,9 +930,9 @@ class TestTableTransform:
         # symbol: the transform checks the (band, Q) spectrum, not its output.
         ifft = cardinal._ifft_band
 
-        def nan_ifft(head, m):
+        def nan_ifft(head, m, n):
             head[1, residue] = math.nan
-            return ifft(head, m)
+            return ifft(head, m, n)
 
         monkeypatch.setattr(cardinal, "_ifft_band", nan_ifft)
         with pytest.raises(NumericalConsistencyError, match="not finite"):
@@ -946,6 +950,30 @@ class TestTableTransform:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+
+    def test_build_memory_is_bounded_by_the_table(self):
+        # Every transform row at once was 65.5 MiB of traced peak here, for
+        # a 2.0 MiB table.  In blocks of rows it is 4.25 MiB: the table, its
+        # read-out grid and the kept columns, about two tables, and a block.
+        k = mq.poisson(1.0)
+        mq.build_cardinal_table(k, 1e-10, 32, 4096)
+        tracemalloc.start()
+        try:
+            t = mq.build_cardinal_table(k, 1e-10, 32, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * t.values.nbytes + cardinal._IFFT_BLOCK_BYTES
+
+    @pytest.mark.parametrize("n, m", [(1000, 64), (32, 61)])
+    def test_blocks_leave_the_table_unchanged(self, monkeypatch, n, m):
+        # Blocks of two or three rows, each with its own factors, and one
+        # block of every row give the same bits.
+        k = mq.poisson(1.5)
+        want = mq.build_cardinal_table(k, 1e-11, n, m).values
+        for size in (1, 1 << 30):
+            monkeypatch.setattr(cardinal, "_IFFT_BLOCK_BYTES", size)
+            assert np.array_equal(mq.build_cardinal_table(k, 1e-11, n, m).values, want)
 
     def test_spectrum_past_the_slot_cap_is_bandwidth_error(self):
         # The band search finds 828157 rows; their 1.7e9 slots raised a bare
@@ -1085,6 +1113,23 @@ class TestSpectrumBand:
         mq.build_cardinal_table(k, eps, 32, m)
         assert len(seen) == calls
         assert (cardinal._spectrum_band(k, eps, m) > m // 2) == (calls == 2)
+
+    @pytest.mark.parametrize(
+        "k, eps, n, m, rows",
+        # A narrow multiquadric and the narrow gaussian of the operating-range
+        # sweep; reading every row up to the band took 74 and 27.5 MiB.
+        [(mq.multiquadric(-1.5, 10.0**-5.048698483185319), 1e-2, 8, 16, 828157),
+         (mq.gaussian(2.9e10), 6.2e-3, 14, 45, 365221)],
+    )
+    def test_band_past_the_slot_budget_is_bisected(self, k, eps, n, m, rows):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BandwidthError, match=f"{rows} rows of 2048 slots"):
+                mq.build_cardinal_table(k, eps, n, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     @staticmethod
     def fancy_read(vals, n, m):

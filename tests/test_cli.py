@@ -100,13 +100,17 @@ class TestTable:
     @pytest.mark.parametrize(
         "kernel, hint",
         [
-            # K_99.5(2 |xi|) overflows on the small slots: the build warned
-            # (invalid value in subtract) and found its spectrum not finite.
-            (("--alpha", "-100", "--c", "2", "--eps", "1e-11", "--N", "32", "--M", "64"),
+            # Gamma(200) in the transform's constant overflows.  Alpha = -100
+            # at c = 2, whose K_99.5 overflowed on the small slots (the build
+            # warned and found its spectrum not finite), now builds from K's
+            # small-argument series.
+            (("--alpha", "-200", "--c", "2", "--eps", "1e-11", "--N", "32", "--M", "64"),
              "larger c"),
             # The transform's constant underflowed: a bare math domain error.
             (("--alpha", "-160"), "increase M"),
-            (("--alpha", "-160", "--M", "64"), "larger c"),
+            # Gamma(171.7) overflows.  Alpha = -160 at M = 64, whose K_159.5
+            # overflowed on the small slots, now builds too.
+            (("--alpha", "-171.7", "--M", "64"), "larger c"),
         ],
     )
     def test_extreme_order_is_numerical_failure(self, capsys, kernel, hint):

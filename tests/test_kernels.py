@@ -246,11 +246,33 @@ class TestFourierTransforms:
         assert mq.kernel_fourier(k, xi) == pytest.approx(want, rel=0, abs=1e-12)
         assert mq.kernel_fourier(k, np.array([xi, 0.0]))[0] == mq.kernel_fourier(k, xi)
 
-    def test_tiny_argument_past_the_leading_term_keeps_its_error(self):
-        # K_44.5 overflows up to r of about 3.6e-6, where its second term is
-        # above rounding: the leading term alone would not be exact.
-        with pytest.raises(KernelOverflowError):
-            mq.kernel_fourier(mq.multiquadric(-45.0, 1.0), 1e-6)
+    def test_tiny_argument_past_the_leading_term_takes_the_series(self):
+        # K_44.5 overflows up to r of about 3.1e-6, where its second term is
+        # above rounding: the leading term alone raised KernelOverflowError.
+        # The value is mpmath's.
+        got = mq.kernel_fourier(mq.multiquadric(-45.0, 1.0), 1e-6)
+        assert got == pytest.approx(0.26644945331088997, rel=1e-13)
+
+    # Orders whose K overflows up to r of 4.4e-7, 9.0e-4, 0.064, 0.25 and
+    # 2.1, each near that edge and most a decade below it.
+    @pytest.mark.parametrize(
+        "alpha, xi", [(-40.0, 3.8e-7), (-40.0, 3.8e-8), (-65.0, 6e-4), (-65.0, 6e-5),
+                      (-100.0, 0.062), (-100.0, 0.0062), (-120.3, 0.24), (-171.0, 1.98),
+                      (-171.0, 0.198)]
+    )
+    def test_series_where_bessel_factor_overflows(self, alpha, xi):
+        mpmath = pytest.importorskip("mpmath")
+        k = mq.multiquadric(alpha, 1.0)
+        with np.errstate(over="ignore"):
+            assert np.isinf(mq.bessel_k(alpha + 0.5, xi))
+        with mpmath.workdps(40):
+            a, x = mpmath.mpf(alpha), mpmath.mpf(xi)
+            want = mpmath.log(
+                mpmath.sqrt(2 * mpmath.pi) * 2 ** (1 + a) / mpmath.gamma(-a)
+                * (1 / x) ** (a + 0.5) * mpmath.besselk(a + 0.5, x)
+            )
+        # The log is some hundreds, so its rounding is about 1e-13.
+        assert mq.log_kernel_fourier(k, xi) == pytest.approx(float(want), rel=1e-15, abs=1e-13)
 
     def test_tiny_argument_singular_order_keeps_its_error(self):
         with pytest.raises(KernelOverflowError):
