@@ -6,14 +6,14 @@ Fourier domain as ``Lhat(xi) = phihat(xi) / S(xi)`` where
 symbol functions truncate the periodization to ``2 tau + 1`` terms, with
 tau chosen so the truncation carries relative error at most epsilon.  The
 table build needs no tau.  It samples phihat at spacing 2 pi / Q up to the
-band where the transform falls below rounding, and one routine,
-:func:`_periodize`, sums those even samples over Q slots for the symbol
-S.  A pruned FFT inverts Lhat; its column step sums Lhat over the period
-2 pi M, as sampling L at spacing 1/M does.  Lhat is real and even, so L is
-real: the transform forms only the columns of its Hermitian rows up to
-Q/2 and inverts each row by a real FFT, over blocks of rows, keeping only
-the columns the table reads.  L is then evaluated off-grid by local
-polynomial interpolation.
+band where the transform falls below rounding; one routine,
+:func:`_pair_slots`, pairs those even samples with their mirrors, which
+sum to the symbol S.  A pruned FFT inverts Lhat from the pairs; its column
+step sums Lhat over the period 2 pi M, as sampling L at spacing 1/M does.
+Lhat is real and even, so L is real: the transform forms only the columns
+of its Hermitian rows up to Q/2 and inverts each row by a real FFT, over
+blocks of rows, keeping only the columns the table reads.  L is then
+evaluated off-grid by local polynomial interpolation.
 """
 
 from __future__ import annotations
@@ -210,7 +210,8 @@ def _tail_tau(k: Kernel, epsilon: float) -> int:
     the target, doubling n until the shares up to n and the series
     ``phihat(2 pi n - pi) rho / (1 - rho)`` past it certify a tau.
     """
-    log_target = math.log(0.5 * epsilon)
+    # A sum of logs, as below: a subnormal epsilon's product underflows.
+    log_target = math.log(0.5) + math.log(epsilon)
     probe = 64 << np.arange((_MAX_SHIFTS // 64).bit_length())
     below = np.flatnonzero(_log_shares(k, TWO_PI * probe - math.pi) <= log_target)
     if not below.size:
@@ -265,7 +266,7 @@ def compute_tau(k: Kernel, epsilon: float) -> TruncationPlan:
     if k.family == GAUSSIAN:
         gamma = math.sqrt(math.pi / k.lam)
         d_lower = gamma * math.exp(-math.pi**2 / (4.0 * k.lam))
-        paper = 2.0 / math.pi**2 * abs(math.log(epsilon / 4.0)) + 4.0
+        paper = 2.0 / math.pi**2 * abs(math.log(epsilon) - math.log(4.0)) + 4.0
     elif k.alpha >= 0:
         raise UnsupportedKernelError("cardinal pipeline requires alpha < 0")
     elif k.alpha == -1.0:
@@ -290,15 +291,16 @@ def compute_tau(k: Kernel, epsilon: float) -> TruncationPlan:
         )
         e2 = math.exp(-TWO_PI * c)
         d_lower = d_scale * e2
-        # tau is formed in log space: d_lower underflows for c >~ 113 and
-        # cosh(c pi) overflows for c >~ 226, while tau itself stays small.
+        # tau is formed in log space: d_lower underflows for c >~ 113, cosh(c pi)
+        # overflows for c >~ 226 and 1 / epsilon for a subnormal epsilon, while
+        # tau stays small; e2 rounds to 1 for c below 8.8e-18, so 1 - e2 is expm1's.
         log_cosh = c * math.pi + math.log1p(e2) - math.log(2.0)
         paper = 1.0 + (
-            math.log(1.0 / epsilon)
+            -math.log(epsilon)
             + math.log(2.0 * gamma)
             + log_cosh
             - (math.log(d_scale) - TWO_PI * c)
-            - math.log1p(-e2)
+            - math.log(-math.expm1(-TWO_PI * c))
         ) / (TWO_PI * c)
     else:
         gamma = _mq_tail_prefactor(k)
@@ -474,32 +476,36 @@ def _strided(a: np.ndarray, shape: tuple, steps: tuple) -> np.ndarray:
     return np.ndarray(shape, a.dtype, a, 0, tuple(a.itemsize * s for s in steps))
 
 
-def _periodize(flat: np.ndarray, period: int) -> np.ndarray:
-    """Slots 0 .. period/2 of ``sum_k f(i + k period)``, for an even
-    ``period``, with f the even sequence whose slots 0, 1, ... are ``flat``
-    and whose slots past it are 0.
+def _pair_slots(head: np.ndarray) -> tuple:
+    """``plus``, ``minus`` and ``symbol`` for f the even sequence whose
+    slots 0, 1, ... are the flat (rows, Q) ``head`` (Q even) and 0 past it.
 
-    Slot i takes f(i + k period) for k >= 0 and f(k period - i) for k >= 1.
-    Both are column sums of ``flat`` cut into blocks of one period, each
-    with the next block's first slot as an extra column ``period``: column
-    i for the first, column period - i for the second.  Each runs from the
-    farthest block in, so a decreasing f is summed from its smallest terms.
+    Row r >= 1 of the (rows + 1, Q/2 + K) pairs is f(Q r + s) +- f(Q r - s)
+    on columns s <= Q/2 and 0 past them (:func:`_ifft_band`'s twiddle
+    split), row 0 is f(s) in both.  Summed from the farthest row in, so a
+    decreasing f from its smallest terms, plus is ``sum_k f(s + k Q)``.
     """
-    rows = -(-flat.size // period)
-    padded = np.zeros(rows * period + 1)
-    padded[: flat.size] = flat
-    blocks = _strided(padded, (rows, period + 1), (period, 1))
-    ends = blocks[::-1].sum(axis=0)
-    half = period // 2
-    return ends[: half + 1] + ends[: half - 1 : -1]
+    rows, q = head.shape
+    half = q // 2
+    plus = np.zeros((rows + 1, half + (1 << (q.bit_length() - 1) // 2)))
+    minus = np.zeros_like(plus)
+    # Column s >= 1 of row -r is head[r - 1, Q - s]; column 0 is head[r, 0].
+    mirror = head[:, : half - 1 : -1]
+    plus[0, : half + 1] = minus[0, : half + 1] = head[0, : half + 1]
+    np.multiply(head[1:, 0], 2.0, out=plus[1:rows, 0])
+    np.add(head[1:, 1 : half + 1], mirror[:-1], out=plus[1:rows, 1 : half + 1])
+    np.subtract(head[1:, 1 : half + 1], mirror[:-1], out=minus[1:rows, 1 : half + 1])
+    plus[rows, 1 : half + 1] += mirror[-1]
+    minus[rows, 1 : half + 1] -= mirror[-1]
+    return plus, minus, plus[::-1, : half + 1].sum(axis=0)
 
 
-def _ifft_band(head: np.ndarray, m: int, n: int) -> np.ndarray:
+def _ifft_band(plus: np.ndarray, minus: np.ndarray, q: int, m: int, n: int) -> np.ndarray:
     """Columns 0 .. n+1 and Q-n-2 .. Q-1 of rows 0 .. M//2 of ``M * ifft(x)``,
     a real (M//2 + 1, 2n + 4) array, for x of length p = M Q the sum of f
     over the shifts k p, with f the even sequence on the integers whose
-    slots 0, 1, ... are the flat (rows, Q) ``head`` (Q a power of 2) and
-    whose others are 0.  With n = Q/2 - 2 it is every column.
+    pairs :func:`_pair_slots` forms as ``plus`` and ``minus`` (Q a power
+    of 2).  With n = Q/2 - 2 it is every column.
 
     Entry ``[t, j]`` of the full (M//2 + 1, Q) array is output ``j M + t``.
     With input index ``Q r + s``, the transform splits into length-M
@@ -509,52 +515,37 @@ def _ifft_band(head: np.ndarray, m: int, n: int) -> np.ndarray:
     ``(Q - 1 - j) M + (M - t)``, so only rows t <= M/2 are formed.  The
     column step's exponent ``2 pi r t / M`` has period M in r, so it sums
     any row r of f onto row r mod M of x, rows of either sign and past M
-    too: only head's rows and their mirrors are nonzero, and the step is a
-    dense product with them (FFT pruning).  Row -r of f is ``g[r]``, whose
-    exponent -r t / M pairs it with head's row r, so the step is
-    ``cos(2 pi r t / M) @ (head + g) + i sin(2 pi r t / M) @ (head - g)``.
+    too: only the rows of the pairs are nonzero, and the step is a dense
+    product with them (FFT pruning).  Row -r of f, whose exponent is
+    -r t / M, pairs with row r, so the step is
+    ``cos(2 pi r t / M) @ plus + i sin(2 pi r t / M) @ minus``.
 
     x is real and even, so each twiddled row z is Hermitian, z[Q - s] =
     conj z[s], and its transform is real: only columns s <= Q/2 are formed,
     and each row is inverted by one length-Q ``irfft``, which reads only the
     real parts of columns 0 and Q/2.  Those are real in exact arithmetic;
     an imaginary part there over 1e-10 raises NumericalConsistencyError, as
-    does a ``head`` value that is not finite.  Every value of a finite
-    ``head`` enters each output with a weight of modulus at most 1, so the
-    output is finite too: the build's Lhat lies in [0, 1].
+    does a pair value that is not finite.  Every value of finite pairs
+    enters each output with a weight of modulus at most 1, so the output
+    is finite too: the build's pairs of Lhat lie in [-1, 1].
 
     The column step, the twiddle and the row transforms run over blocks of
     output rows t, about ``_IFFT_BLOCK_BYTES`` of complex rows each, and
     only the 2n + 4 columns kept are copied out of each block.  So beside
-    head's two (rows + 1, Q/2 + K) column-step inputs the transform holds
-    its output and one block, never an (M//2 + 1, Q) array.  Blocks of
-    128 KiB to 1 MiB all left the traced peak of a build at M = 4096,
-    N = 32, Q = 2048 at 4.25-4.36 MiB; over a replica of the benchmark's
-    table-build loop 128 KiB and 512 KiB blocks took 1% and 8% longer
-    than 256 KiB.
+    the pairs the transform holds its output and one block, never an
+    (M//2 + 1, Q) array.  Blocks of 128 KiB to 1 MiB all left the traced
+    peak of a build at M = 4096, N = 32, Q = 2048 within 0.11 MiB; over a
+    replica of the benchmark's table-build loop 128 KiB and 512 KiB blocks
+    took 1% and 8% longer than 256 KiB.
     """
-    if not np.isfinite(head).all():
+    if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
         raise NumericalConsistencyError("table spectrum for the inverse FFT is not finite")
-    rows, q = head.shape
-    p, h, half, keep = m * q, m // 2, q // 2, n + 2
+    rows, half = plus.shape[0], q // 2
+    p, h, keep, k = m * q, m // 2, n + 2, plus.shape[1] - half
     # The twiddle factors as exp(2 pi i t s1 / p) * exp(2 pi i t K s2 / p)
-    # for s = s1 + K s2, so no (M//2 + 1, Q/2 + 1) array of it is formed.
-    # Columns 0 .. Q/2 are padded with zeros to Q/2 + K, so the split is a
-    # view of contiguous rows.
-    k = 1 << (q.bit_length() - 1) // 2
-    # The column step's inputs head + g and head - g, rows 0 .. rows.  Slot
-    # -i holds slot i: g[0] is 0, and g[r] is head[r, 0] in column 0 and
-    # head[r - 1, Q - s] in column s >= 1.
-    plus = np.zeros((rows + 1, half + k))
-    minus = np.zeros_like(plus)
-    mirror = head[:, : half - 1 : -1]
-    plus[0, : half + 1] = minus[0, : half + 1] = head[0, : half + 1]
-    np.multiply(head[1:, 0], 2.0, out=plus[1:rows, 0])
-    np.add(head[1:, 1 : half + 1], mirror[:-1], out=plus[1:rows, 1 : half + 1])
-    np.subtract(head[1:, 1 : half + 1], mirror[:-1], out=minus[1:rows, 1 : half + 1])
-    plus[rows, 1 : half + 1] += mirror[-1]
-    minus[rows, 1 : half + 1] -= mirror[-1]
-    r, s1, s2 = np.arange(rows + 1), np.arange(k), k * np.arange(half // k + 1)
+    # for s = s1 + K s2, so no (M//2 + 1, Q/2 + 1) array of it is formed;
+    # the pairs' columns padded to Q/2 + K make the split a view.
+    r, s1, s2 = np.arange(rows), np.arange(k), k * np.arange(half // k + 1)
     # Blocks of step rows t end at the multiples of step below M//2 and the
     # last one at M//2 + 1, so none has one row: a one-row product rounds
     # differently from the same row of a larger one.  The per-row factors
@@ -563,7 +554,7 @@ def _ifft_band(head: np.ndarray, m: int, n: int) -> np.ndarray:
     step = max(2, _IFFT_BLOCK_BYTES // (16 * (half + k)))
     ends = list(range(step, h, step)) + [h + 1]
     blocks = list(zip([0] + ends[:-1], ends))
-    group = max(1, _IFFT_BLOCK_BYTES // (16 * (rows + 2 + k + half // k) * step))
+    group = max(1, _IFFT_BLOCK_BYTES // (16 * (rows + 1 + k + half // k) * step))
     buf = np.empty((min(step + 1, h + 1), half + k), dtype=complex)
     vals = np.empty((h + 1, 2 * keep))
     edge = np.empty((h + 1, 2))  # the imaginary parts of columns 0 and Q/2
@@ -647,7 +638,7 @@ def _spectrum_band(k: Kernel, epsilon: float, m: int) -> int:
             return stop
     band = 1 + int(np.argmax(rows[1:] < cut))
     log_s0 = rows[0] + math.log1p(2.0 * np.exp(rows[1:band] - rows[0]).sum())
-    level = math.log(1e-2 * epsilon) + log_s0
+    level = math.log(1e-2) + math.log(epsilon) + log_s0
     if edge >= level:
         below = np.flatnonzero(_log_shares(k, math.pi * 2.0 ** np.arange(29)) < level)
         if not below.size:
@@ -726,11 +717,12 @@ def build_cardinal_table(
     ``L(j) = delta_{0 j}`` at integers up to rounding.  S sums every shift
     below the band (see :func:`_spectrum_band`).
 
-    Beside the (band, Q) spectrum, capped at _MAX_SLOTS, a build holds
-    about two tables' worth of memory (the transform's kept columns, the
-    read-out grid and the table) and one block of :func:`_ifft_band`: for
-    poisson c = 1, N = 32, eps = 1e-10 a traced peak of 4.25 MiB at
-    M = 4096 and 16.5 MiB at M = 16384, for tables of 2 and 8 MiB.
+    Beside the (band, Q) spectrum, capped at _MAX_SLOTS, and its pairs, a
+    build holds about two tables' worth of memory (the transform's kept
+    columns, the read-out grid and the table) and one block of
+    :func:`_ifft_band`: for poisson c = 1, N = 32, eps = 1e-10 a traced
+    peak of 4.11 MiB at M = 4096 and 16.4 MiB at M = 16384, for tables of
+    2 and 8 MiB.
     """
     if N < 4 or M < 4:
         raise DomainError("table requires N >= 4 and M >= 4")
@@ -751,12 +743,12 @@ def build_cardinal_table(
     # holds the shifts of symbol residue s, row r the xi in [2 pi r,
     # 2 pi (r + 1)).  Each residue's terms are divided by its largest, row 0
     # at column min(s, Q - s), in log space, and exponentiated once: these
-    # shares lie in [0, 1].  S on residues 0 .. Q/2 is their
-    # Q-periodization, at least the residue's own top share 1; S is even,
-    # so residue s > Q/2 reads it at Q - s.  Lhat = share / S then lies in
-    # [0, 1] too.  phihat and S are never formed: for a wide kernel they
-    # underflow, or log S is so large that a factor of 2 in S rounds away in
-    # it, while the shares and their sums are order one.
+    # shares lie in [0, 1].  Their pairs sum to S on residues 0 .. Q/2, at
+    # least the residue's own top share 1, and one division of both pairs
+    # by S gives the pairs of Lhat = share / S.  phihat and S are never
+    # formed: for a wide kernel they underflow, or log S is so large that
+    # a factor of 2 in S rounds away in it, while the shares and their
+    # sums are order one.
     if k.family == kmod.MULTIQUADRIC:
         logs = _mq_log_slots(k, band * q, q)
     else:
@@ -767,9 +759,9 @@ def build_cardinal_table(
     rows[:, half + 1 :] -= top[half - 1 : 0 : -1]
     np.copyto(logs, -np.inf, where=logs < _LOG_TINY)
     np.exp(logs, out=logs)
-    symbol = _periodize(logs, q)
-    rows[:, : half + 1] /= symbol
-    rows[:, half + 1 :] /= symbol[half - 1 : 0 : -1]
+    plus, minus, symbol = _pair_slots(rows)
+    plus[:, : half + 1] /= symbol
+    minus[:, : half + 1] /= symbol
 
     # Every family's transform depends on |xi| only, so the table's
     # spectrum is real and even and L is real: _ifft_band forms half of the
@@ -777,7 +769,8 @@ def build_cardinal_table(
     # the spectrum over the shifts 2 pi M k, which _ifft_band's column step
     # does for every row it reads.  It returns only the 2N + 4 columns
     # around j = 0 that _read_table reads.
-    vals = _ifft_band(rows, M, N)
+    vals = _ifft_band(plus, minus, q, M, N)
+    del logs, rows, plus, minus  # the read-out takes their memory
     return CardinalTable(k, N, M, _read_table(vals, N, M), epsilon, interp_order)
 
 

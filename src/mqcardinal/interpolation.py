@@ -360,6 +360,12 @@ def eval_gram(g: GramInterpolant, x):
     :func:`_gram_matrix`, each block of differences is one exact rank-2
     product of :func:`_difference_factors`, bit for bit the broadcast
     subtract at about 2.5 times its speed.
+
+    A probe's value can differ by 1 ulp with the other probes in the call:
+    OpenBLAS's ``dgemv`` rounds a block of two or more rows differently
+    from one row.  With poisson c = 1 on the nodes (-1, 0.25, 2) and the
+    values (1, -2, 0.5), ``eval_gram(g, 0.25)`` is -2.0 and
+    ``eval_gram(g, [1e200, 0.25])[1]`` is -2.0000000000000004.
     """
     x_arr = np.asarray(x, dtype=float)
     probes = x_arr.ravel()

@@ -21,7 +21,7 @@ import mqcardinal as mq
 from mqcardinal.cardinal import (
     TWO_PI,
     _ifft_band,
-    _periodize,
+    _pair_slots,
     _read_table,
     _symbol_terms,
     periodized_symbol_lower_bound,
@@ -144,6 +144,8 @@ class TestComputeTau:
     @example(family="poisson", log_width=math.log10(0.5), log_eps=-12.0)
     @example(family="poisson", log_width=0.0, log_eps=-12.0)
     @example(family=-0.8, log_width=0.0, log_eps=-12.0)
+    # 1 / eps overflowed, so tau read as past the shift cap.
+    @example(family=-0.75, log_width=0.0, log_eps=math.log10(5e-324))
     def test_certificate_meets_eps(self, family, log_width, log_eps):
         # The shifts tau keeps against 8001, each summed exactly, on a grid
         # of xi* in [0, pi] (S is even) with 0 where phihat is finite there.
@@ -290,7 +292,7 @@ class TestSymbolFold:
         # band - 1, and -band at the residues s >= 1.
         band = mq.compute_tau(k, eps).tau + 1
         q = 4 * m
-        got = _periodize(mq.kernel_fourier(k, self.slots(q, band)), q)
+        got = _pair_slots(mq.kernel_fourier(k, self.slots(q, band)).reshape(band, q))[2]
         xi = TWO_PI * np.arange(q // 2 + 1) / q
         last = np.where(xi != 0.0, mq.kernel_fourier(k, TWO_PI * band - xi), 0.0)
         want = _symbol_terms(k, band - 1, xi) + last
@@ -331,7 +333,7 @@ class TestSymbolFold:
         f = lambda xi: -xi * xi / (4.0 * lam)
         rows = f(self.slots(q, band)).reshape(band, q)
         top = rows[0, np.minimum(np.arange(q), q - np.arange(q))]
-        got = rows[0, : q // 2 + 1] + np.log(_periodize(np.exp(rows - top).ravel(), q))
+        got = rows[0, : q // 2 + 1] + np.log(_pair_slots(np.exp(rows - top))[2])
         xi = TWO_PI * np.arange(q // 2 + 1)[:, None] / q + TWO_PI * np.arange(-band, band + 1)
         expo = np.where(np.abs(xi) < TWO_PI * band, f(xi), -np.inf)  # shifts below 2 pi band
         want = special.logsumexp(expo, axis=1)
@@ -734,11 +736,22 @@ class TestWidthRange:
     """Every width a kernel takes: a result or a typed error, never a bare one."""
 
     @given(
-        family=st.sampled_from(["gaussian", "poisson", -0.75, -1.5, -2.5, -3.0]),
+        family=st.one_of(
+            st.sampled_from(["gaussian", "poisson", -0.75, -1.5, -2.5, -3.0]),
+            st.floats(-171.6, 0.0, exclude_min=True, exclude_max=True),
+        ),
         log_width=st.floats(math.log10(5e-324), 308.25),
-        log_eps=st.floats(-16.0, -2.0),
+        log_eps=st.floats(math.log10(5e-324), -2.0),
     )
     @settings(max_examples=150, deadline=None)
+    # A subnormal eps: 1e-2 eps in the band search, 0.5 eps in the tail
+    # rule and eps / 4 in the gaussian rule underflowed to 0, whose log
+    # raised a bare ValueError.
+    @example(family="poisson", log_width=math.log10(3.0), log_eps=math.log10(4e-323))
+    @example(family="poisson", log_width=0.0, log_eps=math.log10(5e-324))
+    @example(family="gaussian", log_width=0.0, log_eps=math.log10(5e-324))
+    # exp(-2 pi c) rounded to 1, and the log of 1 minus it raised.
+    @example(family=-0.5, log_width=-18.0, log_eps=-2.0)
     # pi / lambda overflowed, and the gaussian's log transform was nan.
     @example(family="gaussian", log_width=-310.0, log_eps=-10.0)
     @example(family="gaussian", log_width=math.log10(5e-324), log_eps=-10.0)
@@ -828,6 +841,14 @@ class TestDeltaResidual:
         assert np.max(np.abs(t.values[::m] - delta)) <= 1e-13
 
 
+def fold(flat, p):
+    """The symbol of :func:`_pair_slots` for flat slots of any length,
+    padded with zeros to whole rows of p."""
+    head = np.zeros(-(-flat.size // p) * p)
+    head[: flat.size] = flat
+    return _pair_slots(head.reshape(-1, p))[2]
+
+
 def scatter(flat, p):
     """The even sequence on the integers whose slots 0, 1, ... are ``flat``,
     each slot i of either sign added onto i mod p."""
@@ -845,7 +866,7 @@ class TestTableTransform:
         q = head.shape[1]
         p = m * q
         want = (m * np.fft.ifft(scatter(head.ravel(), p))).reshape(q, m).T[: m // 2 + 1]
-        got = _ifft_band(head, m, q // 2 - 2)
+        got = _ifft_band(*_pair_slots(head)[:2], q, m, q // 2 - 2)
         # Entry [t, j] holds output j M + t, for rows t <= M/2; L is real.
         assert got.dtype == float and got.shape == (m // 2 + 1, q)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
@@ -886,15 +907,15 @@ class TestTableTransform:
         p = m * q
         flat = np.random.default_rng(p).standard_normal(5 * p // 2)
         full = scatter(flat, p)
-        spec = _periodize(flat, p)
+        spec = fold(flat, p)
         assert spec.shape == (p // 2 + 1,) and spec.dtype == float
         np.testing.assert_allclose(spec, full[: p // 2 + 1], rtol=1e-13, atol=1e-13)
         short = flat[: p // 2 - 3]
-        assert np.array_equal(_periodize(short, p), np.append(short, np.zeros(4)))
+        assert np.array_equal(fold(short, p), np.append(short, np.zeros(4)))
         head = np.zeros(-(-flat.size // q) * q)
         head[: flat.size] = flat
         want = (m * np.fft.ifft(full)).reshape(q, m).T[: m // 2 + 1]
-        got = _ifft_band(head.reshape(-1, q), m, q // 2 - 2)
+        got = _ifft_band(*_pair_slots(head.reshape(-1, q))[:2], q, m, q // 2 - 2)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
     @given(
@@ -907,32 +928,32 @@ class TestTableTransform:
         # Slot i of f, for i of both signs, scattered onto i mod period.
         period = 2 * half
         flat = np.random.default_rng(seed).standard_normal(size)
-        got = _periodize(flat, period)
+        got = fold(flat, period)
         assert got.shape == (half + 1,)
         np.testing.assert_allclose(got, scatter(flat, period)[: half + 1], rtol=0, atol=1e-13 * np.abs(flat).sum())
 
     @pytest.mark.parametrize("residue", [0, 5, 1024])
     def test_nan_spectrum_is_consistency_error(self, monkeypatch, residue):
-        # A NaN in one symbol residue (Q = 2048 here) reaches every slot of
-        # that residue in the spectrum the inverse FFT reads.
-        periodize = cardinal._periodize
+        # A NaN in one symbol residue (Q = 2048 here) reaches every row of
+        # that residue in the pairs the inverse FFT reads.
+        pair = cardinal._pair_slots
 
-        def nan_periodize(flat, period):
-            out = periodize(flat, period)
-            out[residue] = math.nan
-            return out
+        def nan_pair(head):
+            plus, minus, symbol = pair(head)
+            symbol[residue] = math.nan
+            return plus, minus, symbol
 
-        monkeypatch.setattr(cardinal, "_periodize", nan_periodize)
+        monkeypatch.setattr(cardinal, "_pair_slots", nan_pair)
         with pytest.raises(NumericalConsistencyError):
             mq.build_cardinal_table(mq.poisson(1.0), 1e-12, 32, 16)
         monkeypatch.undo()
-        # A NaN in one spectrum slot, in row 1 of the residue, with a finite
-        # symbol: the transform checks the (band, Q) spectrum, not its output.
+        # A NaN in one pair value, in row 1 of the residue's minus, with a
+        # finite symbol: the transform checks the pairs, not its output.
         ifft = cardinal._ifft_band
 
-        def nan_ifft(head, m, n):
-            head[1, residue] = math.nan
-            return ifft(head, m, n)
+        def nan_ifft(plus, minus, q, m, n):
+            minus[1, residue] = math.nan
+            return ifft(plus, minus, q, m, n)
 
         monkeypatch.setattr(cardinal, "_ifft_band", nan_ifft)
         with pytest.raises(NumericalConsistencyError, match="not finite"):
@@ -1043,17 +1064,17 @@ class TestSpectrumBand:
         # phihat(2 pi r) < 2^-60 / M of phihat(pi), and Lhat, from the
         # full symbol, on every slot of the rows it leaves 0.
         seen = []
-        periodize = cardinal._periodize
+        pair = cardinal._pair_slots
 
-        def spy_periodize(flat, period):
-            seen.append((flat.size, period))
-            return periodize(flat, period)
+        def spy_pair(head):
+            seen.append(head.shape)
+            return pair(head)
 
-        monkeypatch.setattr(cardinal, "_periodize", spy_periodize)
+        monkeypatch.setattr(cardinal, "_pair_slots", spy_pair)
         mq.build_cardinal_table(k, 1e-12, 32, m)
-        # The first call sums the symbol: band rows of Q slots, period Q.
-        size, q = seen[0]
-        band = size // q
+        # The first call pairs the spectrum and sums the symbol: band rows
+        # of Q slots.
+        band, q = seen[0]
         share = mq.log_kernel_fourier(k, TWO_PI * np.arange(1, band + 1)) - mq.log_kernel_fourier(
             k, math.pi
         )
