@@ -311,7 +311,7 @@ def compute_tau(k: Kernel, epsilon: float) -> TruncationPlan:
     if tau > _MAX_SHIFTS:
         what, way = (
             (f"gaussian lambda={k.lam:g} is too narrow", "smaller lambda") if k.family == GAUSSIAN
-            else (f"{k.family} alpha={k.alpha:g}, c={k.c:g} is too wide", "larger c")
+            else (f"{k.family} alpha={k.alpha:g}, c={k.c:g} is too narrow", "larger c")
         )
         raise UnsupportedKernelError(
             f"{what}: its symbol needs over {_MAX_SHIFTS} shifts; use a {way}"
@@ -857,19 +857,21 @@ def save_table(t: CardinalTable, path) -> None:
 
 
 def load_table(path) -> CardinalTable:
-    """Read a table written by :func:`save_table`."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 9 or header[:2] != ["cardinal-table", "v1"]:
-            raise DomainError(f"not a cardinal-table v1 file: {path}")
-        family = header[2]
-        alpha, width, eps = float(header[3]), float(header[4]), float(header[5])
-        n, m, order = int(header[6]), int(header[7]), int(header[8])
-        values = np.array([float(line) for line in fh if line.strip()])
-    if family == GAUSSIAN:
-        kern = kmod.gaussian(width)
-    elif family == kmod.POISSON:
-        kern = kmod.poisson(width)
-    else:
-        kern = kmod.multiquadric(alpha, width)
-    return CardinalTable(kern, n, m, values, eps, order)
+    """Read a table written by :func:`save_table`.
+
+    A file that is not such a table, or has a field that does not parse,
+    raises ``DomainError`` naming the file.
+    """
+    try:
+        with open(path) as fh:
+            header = fh.readline().split()
+            if len(header) != 9 or header[:2] != ["cardinal-table", "v1"]:
+                raise ValueError("no cardinal-table v1 header")
+            family = header[2]
+            alpha, width, eps = map(float, header[3:6])
+            n, m, order = map(int, header[6:])
+            values = np.array([float(v) for v in fh.read().split()])
+        kern = Kernel(family, alpha=alpha, **{"lam" if family == GAUSSIAN else "c": width})
+        return CardinalTable(kern, n, m, values, eps, order)
+    except ValueError as exc:
+        raise DomainError(f"malformed cardinal-table file {path}: {exc}") from exc

@@ -42,10 +42,18 @@ from .kernels import GAUSSIAN, MULTIQUADRIC, POISSON, Kernel, gaussian, multiqua
 from .sampling import NoiseSpec
 from .testfunctions import bspline
 
-_STUDIES = ("c-conv", "h-conv", "noise", "jitter", "conditioning")
-# The study options each study reads besides study, out and tag.
-_STUDY_OPTIONS = {"h-conv": ("degree",), "noise": ("seed", "delta"),
-                  "jitter": ("seed", "jitter", "pattern")}
+# Each study's runner, and the options it reads besides study, out and tag:
+# each maps the option's value to the runner's keyword arguments.
+_STUDIES = {
+    "c-conv": (run_c_convergence, {}),
+    "h-conv": (run_h_convergence, {"degree": lambda v: {"f": bspline(v)}}),
+    "noise": (run_noise_floor, {"seed": lambda v: {"seed": v},
+                                "delta": lambda v: {"delta_grid": (0.0, v)}}),
+    "jitter": (run_jitter_study, {"seed": lambda v: {"seed": v},
+                                  "jitter": lambda v: {"L_grid": tuple(np.linspace(0.0, v, 6))},
+                                  "pattern": lambda v: {"pattern": v}}),
+    "conditioning": (run_conditioning_study, {}),
+}
 
 
 def _build_parser():
@@ -252,34 +260,15 @@ def _cmd_study(cfg: dict, name: str | None) -> int:
     study = name or cfg.get("study")
     if study not in _STUDIES:
         raise ConfigError(f"unknown study {study!r}; choose from {', '.join(_STUDIES)}")
-    unread = set(cfg) - {"study", "out", "tag", *_STUDY_OPTIONS.get(study, ())}
+    runner, reads = _STUDIES[study]
+    unread = set(cfg) - {"study", "out", "tag", *reads}
     if unread:
         raise ConfigError(f"study {study} does not read: "
                           f"{', '.join('--' + key for key in sorted(unread))}")
-    out_dir = cfg.get("out", ".")
-    tag = cfg.get("tag", "run")
-    seed = int(cfg.get("seed", 0))
-    if study == "c-conv":
-        summary = run_c_convergence(out_dir=out_dir, tag=tag)
-    elif study == "h-conv":
-        summary = run_h_convergence(
-            f=bspline(int(cfg.get("degree", 3))), out_dir=out_dir, tag=tag
-        )
-    elif study == "noise":
-        delta = float(cfg.get("delta", 1e-3))
-        summary = run_noise_floor(
-            delta_grid=(0.0, delta), seed=seed, out_dir=out_dir, tag=tag
-        )
-    elif study == "jitter":
-        kwargs = {"seed": seed, "out_dir": out_dir, "tag": tag}
-        if "jitter" in cfg:
-            level = float(cfg["jitter"])
-            kwargs["L_grid"] = tuple(np.linspace(0.0, level, 6))
-        if "pattern" in cfg:
-            kwargs["pattern"] = cfg["pattern"]
-        summary = run_jitter_study(**kwargs)
-    else:
-        summary = run_conditioning_study(out_dir=out_dir, tag=tag)
+    kwargs = {"out_dir": cfg.get("out", "."), "tag": cfg.get("tag", "run")}
+    for key in reads.keys() & cfg.keys():
+        kwargs.update(reads[key](cfg[key]))
+    summary = runner(**kwargs)
     for key in ("slope", "r_squared", "max_ratio"):
         if key in summary:
             print(f"{key}: {summary[key]:.6g}")

@@ -5,6 +5,13 @@ CSV (one row per grid point) plus a JSON summary with fitted slopes and
 pass/fail flags.  Files are written as ``<study>-<kernel>-<tag>.csv`` with
 the resolved configuration in '#' comment headers, floats at 17
 significant digits, so reruns are byte-identical.
+
+The runners share one skeleton.  ``_rate_summary`` fits a rate and gives
+its summary entries, ``_integer_error`` is the cardinal-series error on an
+integer section, ``_timed_l2`` times a fit and its error evaluation apart,
+``_joined`` writes a grid as a config field, and ``_finish`` adds the study
+and target to the config and writes the files.  A diagnostic that every
+study should report belongs in these helpers, not in a runner.
 """
 
 from __future__ import annotations
@@ -160,16 +167,22 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _finish(study, label, tag, config, columns, rows, summary, out_dir, csv_rows=None):
+def _joined(grid) -> str:
+    """A grid as one config field: its values as the CSV writes them, space-separated."""
+    return " ".join(map(_fmt, grid))
+
+
+def _finish(study, label, tag, f, config, columns, rows, summary, out_dir, csv_rows=None):
     """Complete a study summary and write its CSV + JSON pair.
 
-    Adds ``study`` to the config and to the summary, and the stringified
-    config to the summary.  With ``out_dir`` given, writes
-    ``<study>-<label>-<tag>.csv`` (from ``csv_rows``, or ``rows`` if None)
-    and the summary as JSON next to it.  Then adds the CSV path (or None)
-    and the raw ``rows`` to the summary, and returns it.
+    Adds ``study`` and the name of the target ``f`` to the config, ``study``
+    to the summary, and the stringified config to the summary.  With
+    ``out_dir`` given, writes ``<study>-<label>-<tag>.csv`` (from
+    ``csv_rows``, or ``rows`` if None) and the summary as JSON next to it.
+    Then adds the CSV path (or None) and the raw ``rows`` to the summary,
+    and returns it.
     """
-    config = {"study": study, **config}
+    config = {"study": study, "target": f.name, **config}
     summary["study"] = study
     summary["config"] = {k: _fmt(v) for k, v in config.items()}
     csv_path = None
@@ -192,14 +205,41 @@ def _finish(study, label, tag, config, columns, rows, summary, out_dir, csv_rows
     return summary
 
 
-def _rate_fit(xs, errors, floor: float) -> RateFit:
-    """Rate fit through the errors above ``floor``; all NaN when fewer than
-    four remain (e.g. every error at the roundoff floor, as for the zero
-    target)."""
+def _rate_summary(xs, errors, floor: float):
+    """Rate fit through the errors above ``floor``, and the summary entries
+    ``slope``, ``r_squared`` and ``errors_l2`` it gives.  The fit is all NaN
+    when fewer than four errors remain (e.g. every error at the roundoff
+    floor, as for the zero target)."""
     try:
-        return fit_rate(*rate_points(xs, errors, floor))
+        fit = fit_rate(*rate_points(xs, errors, floor))
     except InsufficientDataError:
-        return RateFit(float("nan"), float("nan"), float("nan"), ())
+        fit = RateFit(float("nan"), float("nan"), float("nan"), ())
+    return fit, {"slope": fit.slope, "r_squared": fit.r_squared,
+                 "errors_l2": [float(e) for e in errors]}
+
+
+def _integer_error(f, J: int, table, T: float) -> ErrorReport:
+    """Error on [-T, T] of the cardinal series of f sampled at the integers |j| <= J."""
+    u = cardinal_series(f(np.arange(-J, J + 1, dtype=float)), 1, table)
+    return error_norms(f, lambda x: eval_uniform(u, x), T=T, step=1.0 / 32.0)
+
+
+def _timed_l2(fit: Callable, evaluate: Callable, failure: type):
+    """Run ``evaluate(fit())`` with the fit and the evaluation timed separately.
+
+    Returns the fitted object (None if the fit raised ``failure``), the
+    evaluation's L2 error (nan if either step raised ``failure``) and the
+    (fit, eval) seconds; a failed fit counts all its time as fit time.
+    """
+    t0, t1, fitted, l2 = time.perf_counter(), None, None, float("nan")
+    try:
+        fitted = fit()
+        t1 = time.perf_counter()
+        l2 = evaluate(fitted)
+    except failure:
+        pass
+    t2 = time.perf_counter()
+    return fitted, l2, (t2 - t0, 0.0) if t1 is None else (t1 - t0, t2 - t1)
 
 
 def _kernel_label(k: Kernel) -> str:
@@ -270,22 +310,19 @@ def run_h_convergence(
     base = base if base is not None else poisson(1.0)
     rows = [(n, 1.0 / n, rep.l2_window, rep.sup_window, rep.self_check)
             for n, (rep,) in _spacing_errors(f, N_grid, base, epsilon, M, T, (noise,))]
-    errs = [r[2] for r in rows]
-    fit = _rate_fit([math.log(1.0 / n) for n in N_grid], errs, _RATE_FLOOR)
-    config = {
-        "target": f.name, "kernel": _kernel_label(base),
-        "epsilon": epsilon, "M": M, "T": T, "N_grid": " ".join(map(str, N_grid)),
-        "noise_delta": 0.0 if noise is None else noise.delta,
-    }
-    summary = {
-        "slope": fit.slope, "r_squared": fit.r_squared,
-        "target_order": f.order, "errors_l2": errs,
-    }
+    fit, summary = _rate_summary([math.log(1.0 / n) for n in N_grid], [r[2] for r in rows],
+                                 _RATE_FLOOR)
+    summary["target_order"] = f.order
     if math.isfinite(f.order):
         summary["pass"] = bool(f.order - 0.5 <= fit.slope <= f.order + 0.5)
+    label = _kernel_label(base)
+    config = {
+        "kernel": label, "epsilon": epsilon, "M": M, "T": T, "N_grid": _joined(N_grid),
+        "noise_delta": 0.0 if noise is None else noise.delta,
+    }
     columns = ("N", "h", "l2_error", "sup_error", "quad_self_check")
-    return {**_finish("h-conv", _kernel_label(base), tag, config, columns, rows, summary,
-                      out_dir), "fit": fit}
+    return {**_finish("h-conv", label, tag, f, config, columns, rows, summary, out_dir),
+            "fit": fit}
 
 
 def run_c_convergence(
@@ -310,32 +347,26 @@ def run_c_convergence(
     if len(c_grid) < 5 or np.any(np.diff(c_grid) <= 0):
         raise DomainError("c_grid must be increasing with >= 5 points")
     rows = []
-    coeffs_j = np.arange(-J, J + 1, dtype=float)
     for c in c_grid:
         k = poisson(c) if base_alpha == -1.0 else multiquadric(base_alpha, c)
-        table = build_cardinal_table(k, epsilon, table_N, M)
-        u = cardinal_series(f(coeffs_j), 1, table)
-        rep = error_norms(f, lambda x: eval_uniform(u, x), T=T, step=1.0 / 32.0)
+        rep = _integer_error(f, J, build_cardinal_table(k, epsilon, table_N, M), T)
         rows.append((c, rep.l2_window, rep.sup_window, rep.self_check))
-    errs = np.array([r[1] for r in rows])
-    if not np.all(errs > 1e-14):
+    errs = [r[1] for r in rows]
+    if not all(e > 1e-14 for e in errs):
         warnings.warn("c-grid truncated: errors below 1e-14 dropped from the fit")
-    fit = _rate_fit(c_grid, errs, 1e-14)
-    label = "poisson" if base_alpha == -1.0 else f"multiquadric-a{base_alpha:g}"
-    config = {
-        "target": f.name, "kernel": label, "alpha": base_alpha,
-        "J": J, "table_N": table_N, "epsilon": epsilon, "M": M, "T": T,
-        "c_grid": " ".join(_fmt(float(c)) for c in c_grid),
-    }
-    summary = {
-        "slope": fit.slope, "r_squared": fit.r_squared,
-        "band": f.band, "rate_bound": -(math.pi - f.band) if math.isfinite(f.band) else None,
-        "errors_l2": errs.tolist(),
-    }
+    fit, summary = _rate_summary(c_grid, errs, 1e-14)
+    summary["band"] = f.band
+    summary["rate_bound"] = -(math.pi - f.band) if math.isfinite(f.band) else None
     if math.isfinite(f.band):
         summary["pass"] = bool(fit.slope <= -0.8 * (math.pi - f.band))
+    label = "poisson" if base_alpha == -1.0 else f"multiquadric-a{base_alpha:g}"
+    config = {
+        "kernel": label, "alpha": base_alpha, "J": J, "table_N": table_N,
+        "epsilon": epsilon, "M": M, "T": T, "c_grid": _joined(c_grid),
+    }
     columns = ("c", "l2_error", "sup_error", "quad_self_check")
-    return {**_finish("c-conv", label, tag, config, columns, rows, summary, out_dir), "fit": fit}
+    return {**_finish("c-conv", label, tag, f, config, columns, rows, summary, out_dir),
+            "fit": fit}
 
 
 def run_noise_floor(
@@ -362,39 +393,26 @@ def run_noise_floor(
     frame_a = {n: estimate_frame_bounds(NodeSequence.integers(min(n, 64))).A for n in N_grid}
     noises = [NoiseSpec(delta, seed, distribution) if delta > 0 else None for delta in delta_grid]
     reports = list(_spacing_errors(f, N_grid, base, epsilon, M, T, noises))
-    rows = []
-    plateau = {}
+    rows, plateau = [], {}
     for i, delta in enumerate(delta_grid):
-        sups = []
-        for n, reps in reports:
-            rep = reps[i]
-            rows.append((delta, n, rep.l2_window, rep.sup_window, frame_a[n],
-                         delta / math.sqrt(frame_a[n])))
-            sups.append(rep.sup_window)
-        if len(sups) >= 2 and sups[-1] > 0:
-            change = abs(sups[-1] - sups[-2]) / max(sups[-1], sups[-2])
-            plateau[delta] = bool(delta > 0 and change < 0.20)
-        else:
-            plateau[delta] = False
+        rows += [(delta, n, reps[i].l2_window, reps[i].sup_window, frame_a[n],
+                  delta / math.sqrt(frame_a[n])) for n, reps in reports]
+        sups = [reps[i].sup_window for _, reps in reports]
+        plateau[delta] = bool(delta > 0 and len(sups) >= 2 and sups[-1] > 0
+                              and abs(sups[-1] - sups[-2]) / max(sups[-1], sups[-2]) < 0.20)
+    label = _kernel_label(base)
     config = {
-        "target": f.name, "kernel": _kernel_label(base),
-        "distribution": distribution, "seed": seed, "epsilon": epsilon, "M": M, "T": T,
-        "delta_grid": " ".join(_fmt(float(d)) for d in delta_grid),
-        "N_grid": " ".join(map(str, N_grid)),
+        "kernel": label, "distribution": distribution, "seed": seed, "epsilon": epsilon,
+        "M": M, "T": T, "delta_grid": _joined(delta_grid), "N_grid": _joined(N_grid),
     }
     clean = [r for r in rows if r[0] == 0.0]
-    clean_decreasing = bool(
-        len(clean) >= 2 and clean[-1][3] <= 0.6 * clean[-2][3]
-    )
+    clean_decreasing = bool(len(clean) >= 2 and clean[-1][3] <= 0.6 * clean[-2][3])
     summary = {
         "plateau": {_fmt(float(d)): v for d, v in plateau.items()},
         "clean_decreasing": clean_decreasing,
-        "pass": bool(
-            all(v for d, v in plateau.items() if d > 0)
-            and (clean_decreasing or not clean)
-        ),
+        "pass": all(v for d, v in plateau.items() if d > 0) and (clean_decreasing or not clean),
     }
-    return _finish("noise", _kernel_label(base), tag, config,
+    return _finish("noise", label, tag, f, config,
                    ("delta", "N", "l2_error", "sup_error", "frame_A", "floor"),
                    rows, summary, out_dir)
 
@@ -415,51 +433,36 @@ def run_jitter_study(
     """Jitter study: Gram-path error on perturbed integers vs the clean cardinal path.
 
     Each perturbation magnitude L < 1/4 keeps the nodes a complete
-    interpolating sequence; the study reports the error ratio against the
-    unperturbed run and the clean cardinal-path error for comparison.
+    interpolating sequence.  ``L_grid`` starts at 0, the unperturbed run,
+    and the study reports each error's ratio to that run's and the clean
+    cardinal-path error for comparison.
     """
     f = f if f is not None else fejer_bandlimited(math.pi / 2.0)
     if max(L_grid) >= 0.25:
         raise DomainError("jitter magnitudes must stay below 1/4")
+    if L_grid[0] != 0:
+        raise DomainError("the jitter grid must start at 0, the unperturbed run")
     kern = poisson(c)
     label = _kernel_label(kern)
-    table = build_cardinal_table(kern, epsilon, 4 * J, 16)
-    u = cardinal_series(f(np.arange(-J, J + 1, dtype=float)), 1, table)
-    card_rep = error_norms(f, lambda x: eval_uniform(u, x), T=T, step=1.0 / 32.0)
-
+    card_l2 = _integer_error(f, J, build_cardinal_table(kern, epsilon, 4 * J, 16), T).l2_window
     rows = []
-    base_err = None
     for L in L_grid:
-        spec = JitterSpec(L, seed, pattern, support)
-        ns = apply_jitter(NodeSequence.integers(J), spec)
+        ns = apply_jitter(NodeSequence.integers(J), JitterSpec(L, seed, pattern, support))
         g = fit_gram(SampleSet(ns.nodes, f(ns.nodes)), kern)
         rep = error_norms(f, lambda x: eval_gram(g, x), T=T, step=1.0 / 32.0)
-        if base_err is None:
-            base_err = rep.l2_window
+        base_err = rows[0][2] if rows else rep.l2_window
         ratio = rep.l2_window / base_err if base_err > 0 else float("nan")
-        rows.append((L, kadec_margin(ns), rep.l2_window, rep.sup_window, ratio,
-                     card_rep.l2_window))
+        rows.append((L, kadec_margin(ns), rep.l2_window, rep.sup_window, ratio, card_l2))
     config = {
-        "target": f.name, "kernel": label,
-        "pattern": pattern, "seed": seed, "J": J, "epsilon": epsilon, "T": T,
-        "L_grid": " ".join(_fmt(float(L)) for L in L_grid),
-        "support": " ".join(map(str, support)),
+        "kernel": label, "pattern": pattern, "seed": seed, "J": J, "epsilon": epsilon, "T": T,
+        "L_grid": _joined(L_grid), "support": _joined(support),
     }
-    summary = {
-        "max_ratio": max(r[4] for r in rows),
-        "all_finite": bool(all(math.isfinite(r[2]) for r in rows)),
-        "pass": bool(all(math.isfinite(r[2]) for r in rows)),
-        "cardinal_l2": card_rep.l2_window,
-    }
-    return _finish("jitter", label, tag, config,
+    all_finite = all(math.isfinite(r[2]) for r in rows)
+    summary = {"max_ratio": max(r[4] for r in rows), "all_finite": all_finite,
+               "pass": all_finite, "cardinal_l2": card_l2}
+    return _finish("jitter", label, tag, f, config,
                    ("L", "kadec_margin", "l2_error", "sup_error", "ratio_to_L0",
                     "cardinal_l2"), rows, summary, out_dir)
-
-
-def _fit_eval_seconds(t0: float, t1: float | None, t2: float) -> tuple:
-    """(fit, eval) seconds from the start, the end of the fit (None if it
-    failed) and the end of the evaluation."""
-    return (t2 - t0, 0.0) if t1 is None else (t1 - t0, t2 - t1)
 
 
 def run_conditioning_study(
@@ -482,45 +485,28 @@ def run_conditioning_study(
     """
     f = f if f is not None else bspline(3)
     kernel_list = tuple(kernel_list) or (gaussian(1.0), poisson(1.0))
+    labels = [_kernel_label(k) for k in kernel_list]
     rows = []
-    for kern in kernel_list:
+    for kern, label in zip(kernel_list, labels):
         for n in N_grid:
             nodes = np.arange(-n, n + 1) / n
-            t0, t1, g = time.perf_counter(), None, None
-            try:
-                g = fit_gram(SampleSet(nodes, f(nodes)), kern)
-                t1 = time.perf_counter()
-                gram_err = error_norms(f, lambda x: eval_gram(g, x), T=2.0,
-                                       step=1.0 / (8 * n)).l2_window
-            except IllConditionedError:
-                gram_err = float("nan")
-            gram_times = _fit_eval_seconds(t0, t1, time.perf_counter())
+            step = 1.0 / (8 * n)
+            g, gram_err, gram_times = _timed_l2(
+                lambda: fit_gram(SampleSet(nodes, f(nodes)), kern),
+                lambda g: error_norms(f, lambda x: eval_gram(g, x), T=2.0, step=step).l2_window,
+                IllConditionedError)
             # Read outside the timed block: the estimate is computed on first read.
             cond = float("inf") if g is None else g.cond_estimate
-            t0, t1 = time.perf_counter(), None
-            try:
-                ge, _ = interpolate_at_spacing(f, n, kern, epsilon, M, cover=2.0)
-                t1 = time.perf_counter()
-                card_err = error_norms(f, ge, T=2.0, step=1.0 / (8 * n)).l2_window
-            except NumericalError:
-                card_err = float("nan")
-            card_times = _fit_eval_seconds(t0, t1, time.perf_counter())
-            rows.append((_kernel_label(kern), n, 1.0 / n, cond,
-                         gram_err, gram_times, card_err, card_times))
-    config = {
-        "target": f.name, "epsilon": epsilon, "M": M,
-        "N_grid": " ".join(map(str, N_grid)),
-        "kernels": " ".join(_kernel_label(k) for k in kernel_list),
-    }
+            _, card_err, card_times = _timed_l2(
+                lambda: interpolate_at_spacing(f, n, kern, epsilon, M, cover=2.0)[0],
+                lambda ge: error_norms(f, ge, T=2.0, step=step).l2_window, NumericalError)
+            rows.append((label, n, 1.0 / n, cond, gram_err, gram_times, card_err, card_times))
+    config = {"epsilon": epsilon, "M": M, "N_grid": _joined(N_grid), "kernels": _joined(labels)}
     # Wall times are inherently run-dependent, so they live in the JSON
     # summary; the CSV stays byte-identical across reruns.
-    growth_ok = True
-    for kern in kernel_list:
-        conds = [r[3] for r in rows if r[0] == _kernel_label(kern) and math.isfinite(r[3])]
-        if any(b < a for a, b in zip(conds, conds[1:])):
-            growth_ok = False
+    conds = [[r[3] for r in rows if r[0] == label and math.isfinite(r[3])] for label in labels]
     summary = {
-        "pass": growth_ok,
+        "pass": all(b >= a for c in conds for a, b in zip(c, c[1:])),
         "timings": [
             {"kernel": r[0], "N": r[1],
              "gram_fit_seconds": r[5][0], "gram_eval_seconds": r[5][1],
@@ -530,6 +516,6 @@ def run_conditioning_study(
     }
     csv_rows = [(r[0], r[1], r[2], r[3], "" if math.isnan(r[4]) else _fmt(r[4]),
                  "" if math.isnan(r[6]) else _fmt(r[6])) for r in rows]
-    return _finish("conditioning", "multi", tag, config,
+    return _finish("conditioning", "multi", tag, f, config,
                    ("kernel", "N", "h", "condition", "gram_l2", "cardinal_l2"),
                    rows, summary, out_dir, csv_rows)

@@ -115,6 +115,13 @@ class TestComputeTau:
         with pytest.raises(UnsupportedKernelError, match=hint):
             mq.compute_tau(k, 1e-10)
 
+    @pytest.mark.parametrize("k", [mq.poisson(1e-6), mq.multiquadric(-0.5, 1e-18)],
+                             ids=["poisson-c1e-6", "alpha-0.5-c1e-18"])
+    def test_narrow_kernel_past_shift_cap_is_called_narrow(self, k):
+        # A tiny c makes the kernel narrow; the message called it too wide.
+        with pytest.raises(UnsupportedKernelError, match="too narrow.*larger c"):
+            mq.compute_tau(k, 1e-2)
+
     def test_underflowing_tail_prefactor(self):
         # c^alpha underflowed to 0, and its log was a bare ValueError.
         assert mq.compute_tau(mq.multiquadric(-3.0, 1e200), 1e-10).tau == 1
@@ -537,6 +544,29 @@ class TestCardinalHat:
         assert mq.cardinal_hat(plan, TWO_PI) < 2e-3
 
 
+# Ways to break a saved Poisson table: (line, header field or None, new
+# text, or None to drop the line).
+TABLE_CORRUPTIONS = {
+    "family": (0, 2, "poissonx"), "alpha": (0, 3, "-1.0x"), "width": (0, 4, "one"),
+    "eps": (0, 5, "1e-8e"), "N": (0, 6, "8.5"), "M": (0, 7, "M"), "order": (0, 8, "4,"),
+    "version": (0, 1, "v2"), "value": (5, None, "0.5.1"), "missing-value": (-1, None, None),
+}
+
+
+def corrupt_table(path, corruption):
+    line, field, text = TABLE_CORRUPTIONS[corruption]
+    lines = path.read_text().splitlines()
+    if text is None:
+        del lines[line]
+    elif field is None:
+        lines[line] = text
+    else:
+        fields = lines[line].split()
+        fields[field] = text
+        lines[line] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestCardinalTable:
     def test_delta_property(self):
         t = mq.build_cardinal_table(mq.poisson(1.0), 1e-16, 32, 16)
@@ -616,6 +646,17 @@ class TestCardinalTable:
         assert back.oversample_M == t.oversample_M
         assert back.epsilon == t.epsilon
         np.testing.assert_array_equal(back.values, t.values)
+
+    @pytest.mark.parametrize("corruption", TABLE_CORRUPTIONS)
+    def test_malformed_file_is_domain_error(self, tmp_path, corruption):
+        # An unknown family loaded as a multiquadric, and a field that did
+        # not parse raised a bare ValueError.
+        path = tmp_path / "table.txt"
+        mq.save_table(mq.build_cardinal_table(mq.poisson(1.0), 1e-8, 8, 8), path)
+        corrupt_table(path, corruption)
+        with pytest.raises(DomainError, match="malformed cardinal-table file") as exc:
+            mq.load_table(path)
+        assert str(path) in str(exc.value)
 
     def test_values_read_only(self):
         t = mq.build_cardinal_table(mq.poisson(1.0), 1e-8, 8, 8)

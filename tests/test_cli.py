@@ -9,6 +9,7 @@ import pytest
 
 from mqcardinal import cli
 from mqcardinal.cli import main
+from test_cardinal import TABLE_CORRUPTIONS, corrupt_table
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +89,17 @@ class TestTable:
         code2, out2, _ = run_cli(capsys, *argv)
         assert code2 == 0 and "cache hit" in out2
         assert files[0].read_bytes() == before
+
+    @pytest.mark.parametrize("corruption", TABLE_CORRUPTIONS)
+    def test_malformed_cached_table_is_usage_error(self, capsys, tmp_path, corruption):
+        argv = ("table", "--family", "poisson", "--c", "1", "--eps", "1e-8",
+                "--N", "8", "--M", "8", "--cache", str(tmp_path))
+        assert run_cli(capsys, *argv)[0] == 0
+        (path,) = tmp_path.glob("table-*.txt")
+        corrupt_table(path, corruption)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"malformed cardinal-table file {path}" in err and "Traceback" not in err
 
     def test_bandwidth_failure_is_numerical(self, capsys):
         code, _, err = run_cli(

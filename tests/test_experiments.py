@@ -1,5 +1,6 @@
 """Error-norm, rate-fit, and study-runner tests."""
 
+import json
 import math
 from pathlib import Path
 
@@ -224,6 +225,9 @@ class TestJitterStudy:
     def test_magnitude_error_is_typed(self):
         with pytest.raises(DomainError, match="below 1/4"):
             mq.run_jitter_study(L_grid=(0.0, 0.25))
+        # The ratio column is to the first run, which must be the unperturbed one.
+        with pytest.raises(DomainError, match="start at 0"):
+            mq.run_jitter_study(L_grid=(0.1, 0.2))
 
 
 class TestConditioningStudy:
@@ -296,6 +300,15 @@ DEFAULT_STUDIES = {
     "conditioning-multi-run.csv": mq.run_conditioning_study,
 }
 
+# The keys of each default study's JSON summary.
+JSON_KEYS = {
+    "h-conv-poisson-c1-run.csv": "config errors_l2 pass r_squared slope study target_order",
+    "c-conv-poisson-run.csv": "band config errors_l2 pass r_squared rate_bound slope study",
+    "noise-poisson-c1-run.csv": "clean_decreasing config pass plateau study",
+    "jitter-poisson-c1-run.csv": "all_finite cardinal_l2 config max_ratio pass study",
+    "conditioning-multi-run.csv": "config pass study timings",
+}
+
 
 def _field_matches(column, got, want):
     if got == want:
@@ -322,3 +335,15 @@ class TestDefaultStudyRecord:
         for got_row, want_row in zip(got[head:], want[head:]):
             for column, g, w in zip(columns, got_row.split(","), want_row.split(","), strict=True):
                 assert _field_matches(column, g, w), (column, got_row, want_row)
+
+    @pytest.mark.parametrize("name", DEFAULT_STUDIES)
+    def test_json_matches_summary(self, name, tmp_path):
+        summary = DEFAULT_STUDIES[name](out_dir=tmp_path)
+        written = json.loads(Path(summary["csv"]).with_suffix(".json").read_text())
+        assert sorted(written) == JSON_KEYS[name].split()
+        want = {k: v for k, v in summary.items() if k not in ("csv", "rows", "fit")}
+        if "timings" in want:
+            # Wall times differ from run to run: compare the entries' keys only.
+            assert [sorted(t) for t in written.pop("timings")] == \
+                [sorted(t) for t in want.pop("timings")]
+        assert written == want
