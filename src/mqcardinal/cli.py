@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 numerical failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -56,9 +57,14 @@ _STUDIES = {
 }
 
 
+@functools.cache
 def _build_parser():
     """The parser, and each subcommand's options by name: the keys its JSON
-    config may set, which are all its options but --config."""
+    config may set, which are all its options but --config.
+
+    Built once per process: a build takes about 1 ms, and main() may run
+    many times in one process.  Parsing leaves the parser as it was.
+    """
     parser = argparse.ArgumentParser(
         prog="mqcardinal",
         description="Cardinal-function interpolation with multiquadric, "

@@ -385,13 +385,17 @@ def run_noise_floor(
     """Noise-floor study: sup error vs spacing for each noise budget delta.
 
     Clean errors keep decreasing under refinement while noisy errors level
-    off near delta / sqrt(A), A estimated from the node section.
+    off near delta / sqrt(A), A estimated from the node section.  A negative
+    or non-finite delta, or a grid with no delta > 0, raises DomainError.
     """
+    # NoiseSpec rejects a negative or non-finite delta; 0 is the clean run.
+    noises = [NoiseSpec(delta, seed, distribution) if delta != 0 else None for delta in delta_grid]
+    if not any(noises):
+        raise DomainError("noise study needs a noise level delta > 0")
     f = f if f is not None else bspline(3)
     base = base if base is not None else poisson(1.0)
     # The frame bounds depend on the node section only, not on delta.
     frame_a = {n: estimate_frame_bounds(NodeSequence.integers(min(n, 64))).A for n in N_grid}
-    noises = [NoiseSpec(delta, seed, distribution) if delta > 0 else None for delta in delta_grid]
     reports = list(_spacing_errors(f, N_grid, base, epsilon, M, T, noises))
     rows, plateau = [], {}
     for i, delta in enumerate(delta_grid):

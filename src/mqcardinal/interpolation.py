@@ -12,13 +12,14 @@ interpolant obtained by solving the symmetric Gram system
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy import linalg
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .cardinal import _SERIES_PAD, CardinalTable, _lagrange, series_samples
 from .errors import (
@@ -213,8 +214,8 @@ def _difference_factors(x: np.ndarray, nodes: np.ndarray):
 
 
 def _gram_matrix(nodes: np.ndarray, k: Kernel) -> np.ndarray:
-    """phi(x_j - x_k), filled in cache-sized row blocks of eval_gram's size;
-    the entries are bit-identical to one broadcast expression.
+    """phi(x_j - x_k) in one n x n array; the entries are bit-identical to
+    one broadcast expression.
 
     Each block of differences is one (rows, 2) @ (2, n) product of
     :func:`_difference_factors`, not a broadcast subtract, which takes about
@@ -222,20 +223,32 @@ def _gram_matrix(nodes: np.ndarray, k: Kernel) -> np.ndarray:
     entry is the one rounding of x_j - x_k, the value the subtract gives;
     only the sign of an exact zero may differ, and the kernel squares it.
 
-    :func:`fit_gram` solves with it by Cholesky and one refinement step, and
-    raises IllConditionedError if it is not positive definite to working
-    precision.  The condition estimate stays its LU power estimate.
+    A matrix of at most ``_EVAL_BLOCK_BYTES`` is one block.  Past that, a
+    block of rows takes the kernel only on the columns up to its last row,
+    in a reused contiguous buffer of at most ``_EVAL_BLOCK_BYTES`` (on a
+    strided view of the matrix the kernel's ufuncs run several times
+    slower).  The block is copied into the lower triangle and the diagonal,
+    and the transpose of what lies left of its own columns into the upper
+    triangle.  fl(x_j - x_k) = -fl(x_k - x_j) and the kernel squares it, so
+    the mirror is the value the kernel would give there, at half the kernel
+    calls.  Every diagonal entry is phi(0) exactly.
     """
     n = nodes.size
-    rows = _block_rows(n)
-    mat = np.empty((n, n))
+    rows = max(1, _EVAL_BLOCK_BYTES // (8 * n))
     left, right = _difference_factors(nodes, nodes)
     # A kernel value that overflows leaves inf in the matrix, which the
     # factorizations report as IllConditionedError.
+    if rows >= n:
+        return _kernel_spatial_inplace(k, left @ right)
+    mat = np.empty((n, n))
+    buf = np.empty(rows * n)
     for i in range(0, n, rows):
-        block = mat[i : i + rows]
-        np.matmul(left[i : i + rows], right, out=block)
+        end = min(i + rows, n)
+        block = buf[: (end - i) * end].reshape(end - i, end)
+        np.matmul(left[i:end], right[:, :end], out=block)
         _kernel_spatial_inplace(k, block)
+        mat[i:end, :end] = block
+        mat[:i, i:end] = block[:, :i].T
     return mat
 
 
@@ -268,16 +281,18 @@ def _power_condition(mat: np.ndarray, lu_and_piv, iters: int = 50, rtol: float =
     return hi * inv_hi
 
 
-def _lu_condition(mat: np.ndarray) -> float:
-    """LU power estimate of a Gram matrix: ``inf`` when it has a non-finite
-    entry (a kernel value that overflowed) or is exactly singular (a zero
-    pivot), NaN above ``_COND_MAX_NODES`` rows.
+def _lu_condition(nodes: np.ndarray, k: Kernel) -> float:
+    """LU power estimate of the Gram matrix at these increasing nodes:
+    ``inf`` when it has a non-finite entry (a kernel value that overflowed)
+    or is exactly singular (a zero pivot), NaN above ``_COND_MAX_NODES``
+    nodes, where no matrix is built.
 
     The scan of the factors is the one finiteness check: non-finite entries
     make non-finite factors.  ``lu_factor`` only warns on a zero pivot.
     """
-    if mat.shape[0] > _COND_MAX_NODES:
+    if nodes.size > _COND_MAX_NODES:
         return float("nan")
+    mat = _gram_matrix(nodes, k)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", linalg.LinAlgWarning)
         lu = linalg.lu_factor(mat, check_finite=False)
@@ -286,26 +301,29 @@ def _lu_condition(mat: np.ndarray) -> float:
     return float(_power_condition(mat, lu))
 
 
-def _factor_gram(mat: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a Gram matrix, for ``dpotrs``.
+def _factor_gram(mat: np.ndarray, nodes: np.ndarray, k: Kernel) -> np.ndarray:
+    """Cholesky factor of the Gram matrix ``mat`` of these nodes, in place.
 
-    The fit is a Cholesky solve with one refinement step.  A matrix that is
-    not positive definite to working precision raises IllConditionedError,
-    whose condition estimate stays the LU power estimate
-    (:func:`_lu_condition`).  A non-finite factor diagonal (a kernel value
+    Returns ``mat.T``, the F-ordered view of the symmetric mat, whose lower
+    triangle (mat's upper one and its diagonal) now holds the lower factor
+    for ``dpotrs``.  Its strict upper triangle (mat's strict lower one)
+    still holds the matrix, for ``dsymv``.
+
+    A matrix that is not positive definite to working precision raises
+    IllConditionedError, whose condition estimate stays the LU power
+    estimate (:func:`_lu_condition`) of the matrix, built again since the
+    factor has overwritten it.  A non-finite factor diagonal (a kernel value
     that overflowed) raises it with an infinite estimate.
     """
-    # mat.T is the F-ordered view of the symmetric mat: f2py copies it as
-    # it is, and mat stays intact for the refinement.
-    chol, info = lapack.dpotrf(mat.T, lower=1, clean=0, overwrite_a=0)
-    if not np.all(np.isfinite(np.diagonal(chol))):
+    packed, info = lapack.dpotrf(mat.T, lower=1, clean=0, overwrite_a=1)
+    if not np.isfinite(packed.diagonal()).all():
         raise IllConditionedError("gram matrix or its Cholesky factor is not finite; "
                                   "the kernel may overflow at these nodes",
                                   cond_estimate=float("inf"))
     if info > 0:
         raise IllConditionedError("gram matrix is not positive definite to working precision",
-                                  cond_estimate=_lu_condition(mat))
-    return chol
+                                  cond_estimate=_lu_condition(nodes, k))
+    return packed
 
 
 def gram_condition(nodes, k: Kernel) -> float:
@@ -318,7 +336,7 @@ def gram_condition(nodes, k: Kernel) -> float:
         raise DomainError(f"gram_condition capped at {_COND_MAX_NODES} nodes")
     nodes = np.sort(nodes)
     _check_nodes(nodes)
-    return _lu_condition(_gram_matrix(nodes, k))
+    return _lu_condition(nodes, k)
 
 
 def fit_gram(s: SampleSet, k: Kernel) -> GramInterpolant:
@@ -332,24 +350,42 @@ def fit_gram(s: SampleSet, k: Kernel) -> GramInterpolant:
     of M.  A non-finite M gives an infinite estimate.  A successful fit
     computes no estimate; the interpolant's ``cond_estimate`` does on first
     read.
+
+    A fit holds one n x n array, 8 n^2 bytes (134 MB at the node cap):
+    :func:`_gram_matrix` fills it, :func:`_factor_gram` overwrites its upper
+    triangle with the factor, and both products by M in the refinement and
+    the residual check are ``dsymv`` on the strict lower triangle, which
+    still holds M, with phi(0) put back on the diagonal for them.  A refused
+    fit builds M again for its condition estimate.
     """
     if k.family != GAUSSIAN and k.alpha >= -0.5:
         raise DomainError("gram interpolation requires alpha < -1/2")
     if s.nodes.size > _GRAM_MAX_NODES:
         raise DomainError(f"fit_gram capped at {_GRAM_MAX_NODES} nodes")
-    mat = _gram_matrix(s.nodes, k)
-    y = s.values
-    chol = _factor_gram(mat)
-    a = lapack.dpotrs(chol, y, lower=1)[0]
-    a = a + lapack.dpotrs(chol, y - mat @ a, lower=1)[0]  # one refinement step
-    y_norm = float(np.linalg.norm(y))
-    residual = float(np.linalg.norm(mat @ a - y))
-    if not np.all(np.isfinite(a)) or (y_norm > 0 and residual > _RESIDUAL_RTOL * y_norm):
+    nodes, y = s.nodes, s.values
+    mat = _gram_matrix(nodes, k)
+    diag = mat.ravel()[:: nodes.size + 1]  # a view of mat's diagonal
+    phi0 = diag[0]
+    packed = _factor_gram(mat, nodes, k)
+    chol_diag = diag.copy()
+    a = lapack.dpotrs(packed, y, lower=1)[0]
+    # dsymv reads the strict triangle that still holds M, and the diagonal
+    # while it holds phi(0); dpotrs reads the factor's.
+    diag.fill(phi0)
+    r = blas.dsymv(-1.0, packed, a, beta=1.0, y=y)  # y - M a
+    diag[...] = chol_diag
+    a = a + lapack.dpotrs(packed, r, lower=1)[0]  # one refinement step
+    diag.fill(phi0)
+    # sqrt(v @ v) is np.linalg.norm's value for a real vector, with less overhead.
+    y_norm = math.sqrt(y @ y)
+    r = blas.dsymv(1.0, packed, a, beta=-1.0, y=y)  # M a - y
+    residual = math.sqrt(r @ r)
+    if not np.isfinite(a).all() or (y_norm > 0 and residual > _RESIDUAL_RTOL * y_norm):
         raise IllConditionedError(
             f"gram residual {residual:.3g} exceeds {_RESIDUAL_RTOL:g} * ||y||",
-            cond_estimate=_lu_condition(mat),
+            cond_estimate=_lu_condition(nodes, k),
         )
-    return GramInterpolant(s.nodes.copy(), a, k)
+    return GramInterpolant(nodes.copy(), a, k)
 
 
 def eval_gram(g: GramInterpolant, x):

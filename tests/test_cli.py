@@ -1,12 +1,15 @@
 """Command-line interface tests via main() return codes and captured output."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mqcardinal
 from mqcardinal import cli
 from mqcardinal.cli import main
 from test_cardinal import TABLE_CORRUPTIONS, corrupt_table
@@ -243,6 +246,15 @@ class TestStudy:
         assert code == 0
         assert "study jitter: PASS" in out
 
+    @pytest.mark.parametrize("delta, message", [("-1", "finite nonnegative"), ("0", "delta > 0")])
+    def test_noise_level_that_is_not_positive_is_usage_error(self, capsys, tmp_path, delta,
+                                                             message):
+        # Both runs printed "study noise: PASS": -1 ran as a clean level,
+        # and 0 ran the clean section twice with no noisy run.
+        code, out, err = run_cli(capsys, "study", "noise", "--delta", delta, "--out", str(tmp_path))
+        assert code == 2 and message in err and "PASS" not in out
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestConfigMerge:
     def test_flags_override_config(self, capsys, tmp_path):
@@ -449,3 +461,79 @@ class TestUnknownFlagUsage:
         assert err.startswith(f"usage: mqcardinal {argv[0]} ")
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
+
+def fresh_run(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv) with a newly built parser."""
+    cli._build_parser.cache_clear()
+    return cached_run(capsys, argv)
+
+
+def cached_run(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv) with the process's parser."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserCache:
+    """main() builds its parser once per process, and a call leaves it as it was."""
+
+    def test_built_once(self):
+        cli._build_parser.cache_clear()
+        main(["tau"])
+        main(["tau", "--c", "2"])
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_usage_error_then_good_call(self, capsys):
+        calls = [("tau", "--out", "t.txt"), ("tau", "--family", "gaussian", "--lambda", "2")]
+        want = [fresh_run(capsys, argv) for argv in calls]
+        assert [w[0] for w in want] == [2, 0]
+        cli._build_parser.cache_clear()
+        assert [cached_run(capsys, argv) for argv in calls] == want
+
+    def test_subcommands_with_config(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        configs = {"tau.json": {"family": "multiquadric", "alpha": -1.5, "eps": 1e-10},
+                   "table.json": {"family": "gaussian", "lam": 1.0, "eps": 1e-8, "N": 8, "M": 8},
+                   "study.json": {"study": "noise", "delta": -1, "seed": 2},
+                   "bad.json": {"N": 8}}
+        for name, cfg in configs.items():
+            (tmp_path / name).write_text(json.dumps(cfg))
+        calls = [("tau", "--config", "tau.json"), ("table", "--config", "table.json"),
+                 ("study", "--config", "study.json"), ("tau", "--config", "bad.json"),
+                 ("table", "--config", "table.json", "--order", "2"),
+                 ("tau", "--config", "tau.json", "--c", "3")]
+        want = [fresh_run(capsys, argv) for argv in calls]
+        assert [w[0] for w in want] == [0, 0, 2, 2, 0, 0]
+        cli._build_parser.cache_clear()
+        assert [cached_run(capsys, argv) for argv in calls] == want
+        assert [cached_run(capsys, argv) for argv in reversed(calls)] == want[::-1]
+
+
+SRC = Path(mqcardinal.__file__).resolve().parent.parent
+
+
+class TestModuleEntryPoint:
+    """python -m mqcardinal runs the command line."""
+
+    @staticmethod
+    def run_module(*argv):
+        env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
+                                                            os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "mqcardinal", *argv],
+                              capture_output=True, text=True, env=env)
+
+    def test_tau(self):
+        run = self.run_module("tau", "--family", "poisson", "--c", "1")
+        assert run.returncode == 0 and "tau: 8" in run.stdout
+        assert run.stderr == ""
+
+    def test_unknown_flag_is_usage_error(self):
+        run = self.run_module("tau", "--bogus")
+        assert run.returncode == 2
+        assert run.stderr.startswith("usage: mqcardinal tau ")
+        assert "unrecognized arguments: --bogus" in run.stderr and "Traceback" not in run.stderr

@@ -205,6 +205,23 @@ class TestNoiseFloor:
         assert len(set(built)) == 3
         assert [r[:2] for r in out["rows"]] == [(d, n) for d in (0.0, 1e-3) for n in (4, 8, 16)]
 
+    @pytest.mark.parametrize("delta_grid", [(0.0, -1.0), (0.0, 1e-3, -1e-3), (0.0, math.nan),
+                                            (0.0, math.inf)])
+    def test_bad_noise_level_is_domain_error(self, tmp_path, delta_grid):
+        # A negative or NaN level ran as a clean one, and the study passed.
+        with pytest.raises(DomainError, match="finite nonnegative"):
+            mq.run_noise_floor(delta_grid=delta_grid, N_grid=(4, 8), M=16, T=2.0,
+                               out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("delta_grid", [(0.0,), (0.0, 0.0), ()])
+    def test_grid_without_noisy_level_is_domain_error(self, tmp_path, delta_grid):
+        # Such a grid reported a noise-floor PASS with no noisy run.
+        with pytest.raises(DomainError, match="delta > 0"):
+            mq.run_noise_floor(delta_grid=delta_grid, N_grid=(4, 8), M=16, T=2.0,
+                               out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestJitterStudy:
     def test_bounded_ratio_and_determinism(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 import mqcardinal as mq
 from mqcardinal import interpolation
@@ -387,11 +388,12 @@ def plain_gram(nodes, k):
 
 
 def plain_fit(nodes, y, k):
-    """fit_gram's Cholesky solve and refinement step on plain_gram."""
+    """fit_gram's Cholesky solve and refinement step on plain_gram, whose
+    residual y - M a is the symmetric product on a separate copy of M."""
     mat = plain_gram(nodes, k)
     chol = lapack.dpotrf(mat.T, lower=1, clean=0, overwrite_a=0)[0]
     a = lapack.dpotrs(chol, y, lower=1)[0]
-    return a + lapack.dpotrs(chol, y - mat @ a, lower=1)[0]
+    return a + lapack.dpotrs(chol, blas.dsymv(-1.0, mat, a, beta=1.0, y=y), lower=1)[0]
 
 
 def blocked_subtract_eval(g, x):
@@ -456,6 +458,18 @@ class TestGramCholesky:
     @pytest.mark.parametrize(
         "k", [mq.poisson(1.0), mq.multiquadric(-2.5, 0.7), mq.gaussian(0.5)]
     )
+    def test_triangle_fill_is_the_broadcast(self, k):
+        # One block up to 181 nodes; past that, blocks of rows mirrored into
+        # the upper triangle, ending with a partial block or a whole one.
+        for n in (181, 182, 255, 256, 257):
+            rng = np.random.default_rng(n)
+            nodes = np.arange(n) - n / 2.0 + rng.uniform(-0.2, 0.2, n)
+            np.testing.assert_array_equal(interpolation._gram_matrix(nodes, k),
+                                          plain_gram(nodes, k))
+
+    @pytest.mark.parametrize(
+        "k", [mq.poisson(1.0), mq.multiquadric(-2.5, 0.7), mq.gaussian(0.5)]
+    )
     def test_eval_is_the_blocked_subtract(self, k):
         for n in BLOCK_EDGE_SIZES:
             rng = np.random.default_rng(n)
@@ -496,6 +510,37 @@ class TestGramCholesky:
         with pytest.raises(IllConditionedError, match="positive definite") as exc:
             mq.fit_gram(mq.SampleSet(nodes, np.sin(nodes)), k)
         assert exc.value.cond_estimate == mq.gram_condition(nodes, k)
+
+    @pytest.mark.parametrize(
+        "nodes, k",
+        [(np.arange(-100, 101) / 100, mq.gaussian(1.0)),  # more than one row block
+         # refused by the residual check with OpenBLAS 0.3.31; either refusal
+         # carries the estimate
+         (np.sort(np.random.default_rng(27).uniform(-1, 1, 11)), mq.gaussian(0.5))],
+    )
+    def test_refused_fit_carries_gram_condition(self, nodes, k):
+        # The factor overwrites the matrix, so a refused fit builds it again
+        # for the estimate: bit for bit gram_condition's.
+        with pytest.raises(IllConditionedError) as exc:
+            mq.fit_gram(mq.SampleSet(nodes, np.cos(nodes)), k)
+        assert exc.value.cond_estimate == mq.gram_condition(nodes, k)
+
+    @pytest.mark.parametrize(
+        "k", [mq.poisson(1.0), mq.multiquadric(-2.5, 0.7), mq.gaussian(0.5)]
+    )
+    def test_fit_holds_one_matrix(self, k):
+        # The factor and the refinement work in the matrix's own array; a
+        # second n x n copy would double the peak.
+        n = 1025
+        nodes = np.arange(n) - n // 2 + np.random.default_rng(n).uniform(-0.2, 0.2, n)
+        s = mq.SampleSet(nodes, np.sin(nodes))
+        tracemalloc.start()
+        try:
+            mq.fit_gram(s, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * n * n
 
 
 class TestGramCondition:
