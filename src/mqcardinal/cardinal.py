@@ -718,10 +718,10 @@ def build_cardinal_table(
     below the band (see :func:`_spectrum_band`).
 
     Beside the (band, Q) spectrum, capped at _MAX_SLOTS, and its pairs, a
-    build holds about two tables' worth of memory (the transform's kept
-    columns, the read-out grid and the table) and one block of
+    build holds the transform's kept columns, about half a table, the
+    table, which :func:`_read_table` fills in place, and one block of
     :func:`_ifft_band`: for poisson c = 1, N = 32, eps = 1e-10 a traced
-    peak of 4.11 MiB at M = 4096 and 16.4 MiB at M = 16384, for tables of
+    peak of 3.11 MiB at M = 4096 and 12.4 MiB at M = 16384, for tables of
     2 and 8 MiB.
     """
     if N < 4 or M < 4:
@@ -784,17 +784,22 @@ def _read_table(vals: np.ndarray, n: int, m: int) -> np.ndarray:
     L(-i / M), is the same entry except in the columns t = 0, where it is
     [0, Q - j], and t = M/2 for even M, where it is [M/2, Q - 1 - j]; only
     there does the average of L(i / M) and L(-i / M) differ from either.
+
+    The grid is the right half of the output buffer, which is then mirrored
+    into the left half: the build holds no second copy of the table.
     """
     q = vals.shape[1]
     h = m // 2
-    grid = np.empty((n + 1, m))  # grid[j, t] = L((j M + t) / M)
+    nm = n * m
+    buf = np.empty(2 * nm + m)
+    grid = buf[nm:].reshape(n + 1, m)  # grid[j, t] = L((j M + t) / M)
     grid[:, : h + 1] = vals[: h + 1, : n + 1].T
     grid[:, h + 1 :] = vals[m - h - 1 : 0 : -1, q - n - 1 :][:, ::-1].T
     grid[1:, 0] = 0.5 * (vals[0, 1 : n + 1] + vals[0, q - 1 : q - n - 1 : -1])
     if m % 2 == 0:
         grid[:, h] = 0.5 * (vals[h, : n + 1] + vals[h, q - 1 : q - n - 2 : -1])
-    half = grid.ravel()[: n * m + 1]
-    return np.concatenate((half[:0:-1], half))
+    buf[:nm] = buf[2 * nm : nm : -1]
+    return buf[: 2 * nm + 1]
 
 
 def _lagrange(values: np.ndarray, base: np.ndarray, s: np.ndarray, order: int) -> np.ndarray:

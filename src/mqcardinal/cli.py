@@ -5,7 +5,8 @@ cardinal table), ``interp`` (interpolate a sample file onto a probe grid),
 and ``study`` (run one of the named experiments).  A subcommand's options
 may come from flags or a JSON config file (flags win); a config key that is
 not one of the subcommand's own options is rejected, and so is a study
-option that the named study does not read.
+option that the named study does not read or a kernel option that the
+kernel family does not read.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage or configuration error.
 """
@@ -55,6 +56,10 @@ _STUDIES = {
                                   "pattern": lambda v: {"pattern": v}}),
     "conditioning": (run_conditioning_study, {}),
 }
+
+# Each kernel option's flag, and the options each kernel family reads.
+_KERNEL_FLAGS = {"alpha": "--alpha", "c": "--c", "lam": "--lambda"}
+_KERNEL_READS = {POISSON: {"c"}, GAUSSIAN: {"lam"}, MULTIQUADRIC: {"alpha", "c"}}
 
 
 @functools.cache
@@ -154,15 +159,19 @@ def _merge_config(args: argparse.Namespace, options: dict) -> dict:
 
 def _kernel_from(cfg: dict) -> Kernel:
     family = cfg.get("family", POISSON)
+    if family not in _KERNEL_READS:
+        raise ConfigError(f"unknown kernel family {family!r}")
+    unread = (_KERNEL_FLAGS.keys() - _KERNEL_READS[family]) & cfg.keys()
+    if unread:
+        raise ConfigError(f"{family} kernel does not read: "
+                          f"{', '.join(sorted(_KERNEL_FLAGS[key] for key in unread))}")
     if family == GAUSSIAN:
         return gaussian(float(cfg.get("lam", 1.0)))
     if family == POISSON:
         return poisson(float(cfg.get("c", 1.0)))
-    if family == MULTIQUADRIC:
-        if "alpha" not in cfg:
-            raise ConfigError("multiquadric kernel requires --alpha")
-        return multiquadric(float(cfg["alpha"]), float(cfg.get("c", 1.0)))
-    raise ConfigError(f"unknown kernel family {family!r}")
+    if "alpha" not in cfg:
+        raise ConfigError("multiquadric kernel requires --alpha")
+    return multiquadric(float(cfg["alpha"]), float(cfg.get("c", 1.0)))
 
 
 def _cmd_tau(cfg: dict) -> int:
@@ -309,7 +318,3 @@ def main(argv=None) -> int:
     except MqcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

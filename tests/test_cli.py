@@ -21,6 +21,128 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def row(id, command, code, out="", err="", setup=None):
+    return pytest.param(command.split(), code, out, err, setup, id=id)
+
+
+README_CACHE = "table --family poisson --c 1 --eps 1e-12 --N 32 --M 16 --cache ./tables"
+MQ = "--family multiquadric --alpha"
+
+# Command-line outcomes whose whole check is the exit code and output: id,
+# command, exit code, a substring of stdout and one of stderr, and the
+# fixture, if any, that writes the input files.  A new case of this kind is
+# a row here; a case that checks files or state is a test of its own below.
+OUTCOMES = [
+    # The README's table examples.
+    row("table-out", "table --family poisson --c 1 --eps 1e-12 --N 32 --M 16 --out table.txt", 0,
+        "delta-property residual: 4.921e-18\nwrote: table.txt"),
+    row("table-cache", README_CACHE, 0, "cached: tables/table-"),
+    # A cached table whose value line does not parse.
+    row("table-cache-corrupt", README_CACHE, 2, err="malformed cardinal-table file tables/",
+        setup="corrupt_cache"),
+    # alpha < -1: the symbol's lower bound is phihat(pi).
+    row("tau-mq-1.5", f"tau {MQ} -1.5 --c 1", 0, "tau: 7"),
+    # An odd M, whose read-out has no t = M/2 column.
+    row("table-mq-1.5-odd-M", f"table {MQ} -1.5 --c 1 --N 16 --M 17", 0, "values: 545"),
+    # The log transform is filled between anchors.
+    row("table-mq-0.75", f"table {MQ} -0.75 --c 2 --eps 1e-12 --N 64 --M 24", 0, "values: 3073"),
+    # K_99.5 overflows on the small slots, which take K's small-argument series.
+    row("table-mq-100", f"table {MQ} -100 --c 2 --eps 1e-11 --N 32 --M 64", 0, "values: 4097"),
+    # The inverse FFT runs over blocks of rows.
+    row("table-M4096", "table --family poisson --c 1 --eps 1e-10 --N 32 --M 4096", 0,
+        "values: 262145"),
+    # Kernels wide enough that c |xi| overflows.
+    row("tau-poisson-c3e301", "tau --family poisson --c 3e301", 0, "tau: 1\n"),
+    row("table-poisson-c3e301", "table --family poisson --c 3e301 --eps 1e-12 --N 32 --M 16", 0,
+        "values: 1025"),
+    row("table-mq-0.75-c1e306", f"table {MQ} -0.75 --c 1e306 --eps 1e-12 --N 32 --M 16", 0,
+        "values: 1025"),
+    row("table-mq-1.5-c1e307", f"table {MQ} -1.5 --c 1e307 --eps 1e-12 --N 32 --M 16", 0,
+        "values: 1025"),
+    # Past the widest c.
+    row("tau-mq-0.75-c5e307", f"tau {MQ} -0.75 --c 5e307", 2, err="use a smaller c"),
+    row("table-mq-0.75-c5e307", f"table {MQ} -0.75 --c 5e307", 2, err="use a smaller c"),
+    # A subnormal eps: its products underflowed to 0 before their logs were sums of logs.
+    row("tau-poisson-eps5e-324", "tau --family poisson --c 1 --eps 5e-324", 0, "tau: 120"),
+    row("tau-gaussian-eps5e-324", "tau --family gaussian --lambda 1 --eps 5e-324", 0, "tau: 156"),
+    row("tau-mq-0.75-eps5e-324", f"tau {MQ} -0.75 --c 1 --eps 5e-324", 0, "tau: 122"),
+    row("table-eps4e-323", "table --family poisson --c 3 --eps 4e-323 --N 8 --M 16", 1,
+        err="increase M to at least 128"),
+    # Too narrow for the slot budget; the band is found by bisection.
+    row("table-mq-1.5-narrow", f"table {MQ} -1.5 --c 8.939258925946754e-06 --eps 1e-2 --N 8 "
+        "--M 16", 1, err="828157 rows of 2048 slots"),
+    row("table-gaussian-narrow", "table --family gaussian --lambda 2.9e10 --eps 6.2e-3 --N 14 "
+        "--M 45", 1, err="365221 rows of 2048 slots"),
+    # 1 - exp(-2 pi c) rounded to 0, and the kernel was called too wide.
+    row("tau-mq-0.5-c1e-18", f"tau {MQ} -0.5 --c 1e-18 --eps 1e-2", 2,
+        err="too narrow: its symbol needs over 1048576 shifts; use a larger c"),
+    # The gaussian transform at pi underflows.
+    row("table-lambda1e-310", "table --family gaussian --lambda 1e-310 --N 8 --M 16", 2,
+        err="pi^2 / (4 lambda) overflows"),
+    row("interp-scattered", "interp --samples jittered.txt --mode scattered --out jittered.csv", 0,
+        "wrote: jittered.csv", setup="input_files"),
+    # Not positive definite to working precision.
+    row("interp-gaussian-grid", "interp --samples grid.txt --family gaussian --lambda 1 "
+        "--mode scattered", 1, err="not positive definite", setup="input_files"),
+    # The kernel's square overflows to its limit 0 at the far probes: their
+    # differences are one BLAS product, and neither it nor the kernel may warn.
+    row("interp-probes-1e200", "interp --samples jittered257.txt --mode scattered "
+        "--probe=-1e200:1e200:5", 0, "\n9.9999999999999997e+199,0\n", setup="input_files"),
+    row("study-jitter", "study jitter --out .", 0, "study jitter: PASS"),
+    row("study-c-conv-seed", "study c-conv --seed 3 --out .", 2,
+        err="study c-conv does not read: --seed"),
+    # A kernel option that the family does not read, from a flag or a config.
+    row("tau-poisson-alpha", "tau --alpha -1.5 --c 1", 2,
+        err="poisson kernel does not read: --alpha"),
+    row("tau-gaussian-c", "tau --family gaussian --c 1", 2,
+        err="gaussian kernel does not read: --c"),
+    row("table-mq-lambda", f"table {MQ} -1.5 --c 1 --lambda 2", 2,
+        err="multiquadric kernel does not read: --lambda"),
+    row("interp-gaussian-c-config", "interp --samples grid.txt --config gaussian.json", 2,
+        err="gaussian kernel does not read: --c", setup="input_files"),
+]
+
+
+@pytest.fixture()
+def input_files():
+    """Sample files: 17 and 257 jittered integer nodes, and 49 nodes on
+    [-1, 1], of sin; and a config for a gaussian with a width c."""
+    for name, x in [
+        ("jittered.txt", np.arange(-8, 9) + np.random.default_rng(0).uniform(-0.2, 0.2, 17)),
+        ("jittered257.txt",
+         np.arange(-128, 129) + np.random.default_rng(1).uniform(-0.2, 0.2, 257)),
+        ("grid.txt", np.arange(-24, 25) / 24),
+    ]:
+        np.savetxt(name, np.c_[x, np.sin(x)])
+    Path("gaussian.json").write_text(json.dumps({"family": "gaussian", "c": 1.0}))
+
+
+@pytest.fixture()
+def corrupt_cache():
+    """The README's cached table, with a value line that does not parse."""
+    assert main(README_CACHE.split()) == 0
+    (path,) = Path("tables").glob("table-*.txt")
+    corrupt_table(path, "value")
+
+
+@pytest.mark.parametrize("argv, code, out, err, setup", OUTCOMES)
+def test_outcome(capsys, tmp_path, monkeypatch, request, argv, code, out, err, setup):
+    """Run in process in an empty directory.  An exception other than
+    SystemExit fails the row; so does a traceback in stderr, or a stderr
+    that does not open as its exit code's class of failure says."""
+    monkeypatch.chdir(tmp_path)
+    if setup:
+        request.getfixturevalue(setup)
+        capsys.readouterr()
+    got, stdout, stderr = cached_run(capsys, argv)
+    assert (got, out in stdout, err in stderr) == (code, True, True), (stdout, stderr)
+    assert "Traceback" not in stderr
+    if code == 1:
+        assert stderr.startswith("numerical failure: ")
+    elif code == 2:
+        assert stderr.startswith(("error: ", "usage: "))
+
+
 class TestTau:
     def test_poisson_default(self, capsys):
         code, out, _ = run_cli(capsys, "tau", "--family", "poisson", "--c", "1")
@@ -384,17 +506,6 @@ class TestOptionSets:
         _, cubic, _ = run_cli(capsys, *base)
         assert by_flag == by_config != cubic
 
-    def test_installed_entry_point_exits_2_without_traceback(self, tmp_path):
-        # The study once ran with c = 1 and printed PASS.
-        run = subprocess.run(
-            [sys.executable, "-m", "mqcardinal.cli", "study", "h-conv", "--c", "2",
-             "--out", str(tmp_path)],
-            capture_output=True, text=True,
-        )
-        assert run.returncode == 2
-        assert "unrecognized arguments: --c 2" in run.stderr and "Traceback" not in run.stderr
-        assert list(tmp_path.iterdir()) == []
-
 
 STUDY_READS = {
     "c-conv": set(),
@@ -537,3 +648,10 @@ class TestModuleEntryPoint:
         assert run.returncode == 2
         assert run.stderr.startswith("usage: mqcardinal tau ")
         assert "unrecognized arguments: --bogus" in run.stderr and "Traceback" not in run.stderr
+
+    def test_flag_of_another_subcommand_writes_nothing(self, tmp_path):
+        # The study once ran with c = 1 and printed PASS.
+        run = self.run_module("study", "h-conv", "--c", "2", "--out", str(tmp_path))
+        assert run.returncode == 2
+        assert "unrecognized arguments: --c 2" in run.stderr and "Traceback" not in run.stderr
+        assert list(tmp_path.iterdir()) == []
