@@ -1,4 +1,8 @@
-"""Cardinal-function interpolation with multiquadric, Poisson, and Gaussian kernels."""
+"""Cardinal-function interpolation with multiquadric, Poisson, and Gaussian kernels.
+
+Importing the package loads numpy only: each scipy subpackage is imported
+by the functions that call it, so each path loads only its own.
+"""
 
 from .errors import (
     BandwidthError,

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import fft
 
 from . import kernels as kmod
 from .errors import (
@@ -425,12 +424,16 @@ def _phase_length(t: CardinalTable, half: int) -> int:
     A series with J <= N/2 gets the table's own length, so the table keeps
     one spectrum for all of them.
     """
+    from scipy import fft
+
     return fft.next_fast_len(
         max(2 * half, 2 * (t.half_width_N // 2)) + _phase_rows(t), real=True
     )
 
 
 def _phase_spectrum(t: CardinalTable, length: int) -> np.ndarray:
+    from scipy import fft
+
     m = t.oversample_M
     phases = np.zeros(_phase_rows(t) * m)
     phases[_SERIES_PAD : _SERIES_PAD + t.values.size] = t.values
@@ -455,6 +458,8 @@ def series_samples(t: CardinalTable, coeffs: np.ndarray) -> np.ndarray:
     length-L spectra; the table's is its cached ``phase_spectrum`` for
     J <= N/2, and one computed for this call otherwise.
     """
+    from scipy import fft
+
     half = (coeffs.size - 1) // 2
     length = _phase_length(t, half)
     if half <= t.half_width_N // 2:
@@ -538,6 +543,8 @@ def _ifft_band(plus: np.ndarray, minus: np.ndarray, q: int, m: int, n: int) -> n
     replica of the benchmark's table-build loop 128 KiB and 512 KiB blocks
     took 1% and 8% longer than 256 KiB.
     """
+    from scipy import fft
+
     if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
         raise NumericalConsistencyError("table spectrum for the inverse FFT is not finite")
     rows, half = plus.shape[0], q // 2
@@ -723,9 +730,17 @@ def build_cardinal_table(
     :func:`_ifft_band`: for poisson c = 1, N = 32, eps = 1e-10 a traced
     peak of 3.11 MiB at M = 4096 and 12.4 MiB at M = 16384, for tables of
     2 and 8 MiB.
+
+    A multiquadric with -1/2 <= alpha < 0 raises UnsupportedKernelError:
+    its transform is singular at xi = 0, where every build samples it.
     """
     if N < 4 or M < 4:
         raise DomainError("table requires N >= 4 and M >= 4")
+    if k.family == kmod.MULTIQUADRIC and -0.5 <= k.alpha < 0.0:
+        raise UnsupportedKernelError(
+            f"cardinal table requires alpha < -1/2: the transform of the multiquadric "
+            f"alpha={k.alpha:g} is singular at xi = 0"
+        )
     if M // 2 > _MAX_SHIFTS:
         raise DomainError(
             f"table requires M <= {2 * _MAX_SHIFTS + 1}: the band search reads at most "

@@ -17,7 +17,6 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -41,7 +40,6 @@ from .interpolation import (
     fit_uniform,
 )
 from .kernels import GAUSSIAN, MULTIQUADRIC, POISSON, Kernel, gaussian, multiquadric, poisson
-from .sampling import NoiseSpec
 from .testfunctions import bspline
 
 # Each study's runner, and the options it reads besides study, out and tag:

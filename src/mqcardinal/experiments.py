@@ -487,6 +487,11 @@ def run_conditioning_study(
     build).  Ill-conditioned Gram rows get an infinite condition number and
     a blank error.
     """
+    # Each path imports its scipy subpackage on first use; both are loaded
+    # here, so that no timed fit includes an import.
+    import scipy.fft  # noqa: F401
+    import scipy.linalg  # noqa: F401
+
     f = f if f is not None else bspline(3)
     kernel_list = tuple(kernel_list) or (gaussian(1.0), poisson(1.0))
     labels = [_kernel_label(k) for k in kernel_list]

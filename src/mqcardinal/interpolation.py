@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg
-from scipy.linalg import blas, lapack
 
 from .cardinal import _SERIES_PAD, CardinalTable, _lagrange, series_samples
 from .errors import (
@@ -254,6 +252,8 @@ def _gram_matrix(nodes: np.ndarray, k: Kernel) -> np.ndarray:
 
 def _power_condition(mat: np.ndarray, lu_and_piv, iters: int = 50, rtol: float = 1e-3):
     """2-norm condition estimate by power iteration on M and on M^-1."""
+    from scipy.linalg import lapack
+
     n = mat.shape[0]
     if n == 1:
         return 1.0
@@ -290,6 +290,8 @@ def _lu_condition(nodes: np.ndarray, k: Kernel) -> float:
     The scan of the factors is the one finiteness check: non-finite entries
     make non-finite factors.  ``lu_factor`` only warns on a zero pivot.
     """
+    from scipy import linalg
+
     if nodes.size > _COND_MAX_NODES:
         return float("nan")
     mat = _gram_matrix(nodes, k)
@@ -315,6 +317,8 @@ def _factor_gram(mat: np.ndarray, nodes: np.ndarray, k: Kernel) -> np.ndarray:
     factor has overwritten it.  A non-finite factor diagonal (a kernel value
     that overflowed) raises it with an infinite estimate.
     """
+    from scipy.linalg import lapack
+
     packed, info = lapack.dpotrf(mat.T, lower=1, clean=0, overwrite_a=1)
     if not np.isfinite(packed.diagonal()).all():
         raise IllConditionedError("gram matrix or its Cholesky factor is not finite; "
@@ -358,6 +362,8 @@ def fit_gram(s: SampleSet, k: Kernel) -> GramInterpolant:
     still holds M, with phi(0) put back on the diagonal for them.  A refused
     fit builds M again for its condition estimate.
     """
+    from scipy.linalg import blas, lapack
+
     if k.family != GAUSSIAN and k.alpha >= -0.5:
         raise DomainError("gram interpolation requires alpha < -1/2")
     if s.nodes.size > _GRAM_MAX_NODES:

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     DivergenceError,
@@ -145,6 +144,8 @@ def _bessel_ke(nu: float, r: np.ndarray) -> np.ndarray:
     orders kve is slower and its relative error reaches ~5e-14, against
     ~7e-16 for the recurrence.
     """
+    from scipy import special
+
     nu = abs(float(nu))
     if nu < np.finfo(float).tiny:
         # scipy's kve returns inf/nan for subnormal orders; K is continuous

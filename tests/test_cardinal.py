@@ -575,6 +575,17 @@ class TestCardinalTable:
             want = 1.0 if j == 0 else 0.0
             assert abs(t.value_at_grid(j * m) - want) <= 1e-6
 
+    @pytest.mark.parametrize("alpha", [-0.5, -0.25, -1e-300])
+    def test_alpha_from_minus_half_is_unsupported(self, monkeypatch, alpha):
+        # The build sampled the transform at xi = 0 and raised SingularityError.
+        def transform(kern, xi):
+            raise AssertionError("transform called")
+
+        monkeypatch.setattr(cardinal, "log_kernel_fourier", transform)
+        monkeypatch.setattr(cardinal, "_mq_log_slots", transform)
+        with pytest.raises(UnsupportedKernelError, match="requires alpha < -1/2"):
+            mq.build_cardinal_table(mq.multiquadric(alpha, 1.0), 1e-10, 8, 16)
+
     def test_symmetry(self):
         t = mq.build_cardinal_table(mq.poisson(1.0), 1e-8, 8, 8)
         np.testing.assert_array_equal(t.values, t.values[::-1])

@@ -76,6 +76,9 @@ OUTCOMES = [
     # 1 - exp(-2 pi c) rounded to 0, and the kernel was called too wide.
     row("tau-mq-0.5-c1e-18", f"tau {MQ} -0.5 --c 1e-18 --eps 1e-2", 2,
         err="too narrow: its symbol needs over 1048576 shifts; use a larger c"),
+    # The transform is singular at xi = 0, which every table samples.
+    row("table-mq-0.5", f"table {MQ} -0.5 --c 1", 2, err="cardinal table requires alpha < -1/2"),
+    row("table-mq-0.25", f"table {MQ} -0.25 --c 1", 2, err="cardinal table requires alpha < -1/2"),
     # The gaussian transform at pi underflows.
     row("table-lambda1e-310", "table --family gaussian --lambda 1e-310 --N 8 --M 16", 2,
         err="pi^2 / (4 lambda) overflows"),
